@@ -2,7 +2,7 @@
 
 The replay engine (:mod:`repro.engine`) only pays off if the compiled
 fast path actually beats the per-access scalar loop on the paper-shape
-experiments that adopted it.  This benchmark times three sweep cells
+experiments that adopted it.  This benchmark times four sweep cells
 both ways — engine disabled (scalar reference) and enabled — and checks
 two things:
 
@@ -19,6 +19,9 @@ Cells and what they exercise:
   ``_access_page``) dominates.
 * ``fig10`` — graph analytics: mixed DRAM/SSD with promotions, so the
   fused DRAM path and the ORDER_DEPENDENT settle hooks both run hot.
+* ``fig11_12`` — YCSB on the KV store through ``run_ycsb``: the op stream
+  is compiled in chunks, so the paging baselines' DRAM hits run fused
+  and their page faults take thin delegation.
 * ``fig14`` — OLTP on MiniDB: *not* engine-accelerated — the DES
   workers feed each access latency back into the scheduler, making
   global order loop-carried (see BATCH.json) — timed here so the cost
@@ -46,7 +49,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 #: Sweep cells timed scalar-vs-engine.
-CELLS = ("fig9a", "fig10", "fig14")
+CELLS = ("fig9a", "fig10", "fig11_12", "fig14")
 
 #: Engine run slower than 2x its baseline time fails ``--check``.
 SLOWDOWN_LIMIT = 2.0
@@ -113,6 +116,10 @@ def test_bench_engine_fig9a(once):
 
 def test_bench_engine_fig10(once):
     _bench_cell(once, "fig10")
+
+
+def test_bench_engine_fig11_12(once):
+    _bench_cell(once, "fig11_12")
 
 
 def test_bench_engine_fig14(once):

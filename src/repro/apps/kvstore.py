@@ -12,9 +12,18 @@ from __future__ import annotations
 import struct
 from typing import Optional, Tuple
 
+import numpy as np
+
 from repro.core.memory_system import MemorySystem
+from repro.engine import OP_LOAD, replay, replay_enabled
 from repro.sim.stats import LatencyStats
-from repro.workloads.ycsb import OpType, YCSBWorkload, generate_ops
+from repro.workloads.ycsb import (
+    COMPILE_CHUNK_OPS,
+    OpType,
+    YCSBWorkload,
+    compile_trace,
+    generate_ops,
+)
 
 
 class KVStore:
@@ -86,10 +95,17 @@ def run_ycsb(
     ``num_records`` is the number of pre-loaded records the skewed key
     distribution draws from; inserts (workload D) go to fresh keys above
     it, so capacity must cover ``num_records + expected inserts``.
+
+    When the system's replay engine is on, the op stream is compiled in
+    chunks and replayed through :func:`repro.engine.replay` instead, with
+    the same latencies, counters and system state.
     """
     if num_records is None:
         num_records = store.capacity_records // 2
     stats = LatencyStats(workload.name)
+    if replay_enabled(store.system):
+        _replay_ycsb(store, workload, num_ops, num_records, theta, seed, stats)
+        return stats
     for op, key in generate_ops(workload, num_ops, num_records, theta=theta, seed=seed):
         if key >= store.capacity_records:
             key = key % store.capacity_records
@@ -99,3 +115,54 @@ def run_ycsb(
             latency = store.put(key)
         stats.record(latency)
     return stats
+
+
+def _replay_ycsb(
+    store: KVStore,
+    workload: YCSBWorkload,
+    num_ops: int,
+    num_records: int,
+    theta: float,
+    seed: int,
+    stats: LatencyStats,
+) -> None:
+    """:func:`run_ycsb` through the replay engine, one compiled chunk at a
+    time; same latencies, counters and system state as the scalar loop.
+
+    Chunks hold at most :data:`~repro.workloads.ycsb.COMPILE_CHUNK_OPS` ops
+    and never more than the engine's own ``chunk_ops``.
+    """
+    system = store.system
+    loads, stores = system._loads, system._stores
+    for trace in compile_trace(
+        workload,
+        num_ops,
+        num_records,
+        store.region.addr(0),
+        capacity_records=store.capacity_records,
+        record_size=store.record_size,
+        theta=theta,
+        seed=seed,
+        chunk_ops=min(system.config.engine.chunk_ops, COMPILE_CHUNK_OPS),
+    ):
+        reads = trace.rows["op"] == OP_LOAD
+        issued = loads.value + stores.value
+        try:
+            result = replay(system, trace)
+        except BaseException:
+            # The scalar loop counts an op before its access, and the
+            # replay flushes mem.loads/stores (counted the same way) before
+            # it raises, so they say how many of this chunk's ops ran.
+            _count_ops(store, reads[: loads.value + stores.value - issued])
+            raise
+        _count_ops(store, reads)
+        stats.extend(result.latencies.tolist())
+
+
+def _count_ops(store: KVStore, reads: np.ndarray) -> None:
+    """Add one get per true and one put per false entry of ``reads``."""
+    gets = int(np.count_nonzero(reads))
+    if gets:
+        store._gets.add(gets)
+    if len(reads) > gets:
+        store._puts.add(len(reads) - gets)

@@ -132,8 +132,32 @@ class LatencyStats:
             self._samples.append(latency)
 
     def extend(self, latencies: Iterable[int]) -> None:
-        for latency in latencies:
-            self.record(latency)
+        """Record every value in order, exactly as one :meth:`record` per
+        value would, in one update of the summary fields.
+
+        The values are checked first: a negative one raises before
+        anything is recorded.
+        """
+        values = [int(latency) for latency in latencies]
+        if not values:
+            return
+        low = min(values)
+        if low < 0:
+            bad = next(value for value in values if value < 0)
+            raise ValueError(f"negative latency recorded on {self.name!r}: {bad}")
+        recorder = race._ACTIVE
+        if recorder is not None:
+            for _ in values:
+                recorder.note(self, "_count", "w")
+        high = max(values)
+        self._count += len(values)
+        self._sum += sum(values)
+        if self._min is None or low < self._min:
+            self._min = low
+        if self._max is None or high > self._max:
+            self._max = high
+        if self.keep_samples:
+            self._samples.extend(values)
 
     def record_batch(self, latency_ns: int, count: int) -> None:
         """Record ``count`` identical samples in one update.

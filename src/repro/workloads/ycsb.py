@@ -18,6 +18,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
+from repro.engine import OP_LOAD, OP_STORE, AccessTrace
 from repro.workloads.zipfian import LatestGenerator, ZipfianGenerator
 
 
@@ -104,6 +105,71 @@ def generate_ops(
         yield op, key
 
 
+#: Ops compiled per chunk by :func:`compile_trace`.  The compiled columns
+#: are a few arrays per op, so chunking bounds the compile's memory to a
+#: chunk instead of the whole stream.
+COMPILE_CHUNK_OPS = 4096
+
+#: Op codes of :func:`generate_op_chunks`: indices into this tuple.
+OP_CODES = (OpType.READ, OpType.UPDATE, OpType.INSERT)
+_READ, _INSERT = 0, 2
+
+
+def chunk_bounds(num_ops: int, chunk_ops: int) -> Iterator[Tuple[int, int]]:
+    """``(start, end)`` of each chunk covering ``range(num_ops)`` in order."""
+    for start in range(0, num_ops, chunk_ops):
+        yield start, min(start + chunk_ops, num_ops)
+
+
+def generate_op_chunks(
+    workload: YCSBWorkload,
+    num_ops: int,
+    num_records: int,
+    theta: float = 0.99,
+    seed: int = 21,
+    chunk_ops: int = COMPILE_CHUNK_OPS,
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """:func:`generate_ops` vectorised: yields ``(codes, keys)`` arrays of at
+    most ``chunk_ops`` ops each, indices into :data:`OP_CODES` and keys.
+
+    Concatenated, the chunks are exactly :func:`generate_ops`' stream for
+    the same arguments, whatever ``chunk_ops`` is: the op rolls come from
+    the same single ``random(num_ops)`` draw, each chunk's Zipfian or
+    latest ranks from one ``random(k)`` draw (numpy's generator returns
+    the same doubles as ``k`` draws of one), and latest keys and insert
+    keys carry the insert count across chunks.  Uniform keys keep one
+    ``integers`` draw per op, whose stream is only guaranteed per call.
+    """
+    workload.validate()
+    if num_ops <= 0:
+        raise ValueError(f"num_ops must be > 0, got {num_ops}")
+    if num_records <= 0:
+        raise ValueError(f"num_records must be > 0, got {num_records}")
+    if chunk_ops <= 0:
+        raise ValueError(f"chunk_ops must be > 0, got {chunk_ops}")
+    rng = np.random.default_rng(seed)
+    zipf = ZipfianGenerator(num_records, theta=theta, seed=seed + 1)
+    latest = LatestGenerator(num_records, theta=theta, seed=seed + 2)
+    rolls = rng.random(num_ops)
+    cuts = [workload.read_ratio, workload.read_ratio + workload.update_ratio]
+
+    for start, end in chunk_bounds(num_ops, chunk_ops):
+        # ``roll < cut`` per cut, as generate_ops' if/elif chain compares.
+        codes = np.searchsorted(cuts, rolls[start:end], side="right")
+        inserts = codes == _INSERT
+        draws = ~inserts
+        drawn = int(np.count_nonzero(draws))
+        keys = np.empty(end - start, dtype=np.int64)
+        if drawn and workload.distribution == "latest":
+            keys[draws] = latest.sample_after(np.cumsum(inserts)[draws])
+        elif drawn and workload.distribution == "zipfian":
+            keys[draws] = zipf.sample_scattered(drawn)
+        elif drawn:
+            keys[draws] = [int(rng.integers(0, num_records)) for _ in range(drawn)]
+        keys[inserts] = latest.record_inserts(end - start - drawn)
+        yield codes.astype(np.uint8), keys
+
+
 def compile_trace(
     workload: YCSBWorkload,
     num_ops: int,
@@ -113,26 +179,21 @@ def compile_trace(
     record_size: int = RECORD_SIZE,
     theta: float = 0.99,
     seed: int = 21,
-):
-    """Compile the workload's op stream to a flat access trace (engine
-    phase 1).
+    chunk_ops: int = COMPILE_CHUNK_OPS,
+) -> Iterator[AccessTrace]:
+    """Compile the workload's op stream to access traces of at most
+    ``chunk_ops`` rows each (engine phase 1).
 
     Mirrors :func:`repro.apps.kvstore.run_ycsb`: each read becomes one
     ``record_size`` load and each update/insert one store, at
     ``base_addr + key * record_size`` with keys wrapped to
     ``capacity_records`` the way the driver wraps them.
     """
-    from repro.engine import OP_LOAD, OP_STORE, AccessTrace
-
     if capacity_records is None:
         capacity_records = num_records
-    addrs = np.empty(num_ops, dtype=np.int64)
-    ops = np.empty(num_ops, dtype=np.uint8)
-    for index, (op, key) in enumerate(
-        generate_ops(workload, num_ops, num_records, theta=theta, seed=seed)
+    for codes, keys in generate_op_chunks(
+        workload, num_ops, num_records, theta=theta, seed=seed, chunk_ops=chunk_ops
     ):
-        if key >= capacity_records:
-            key = key % capacity_records
-        addrs[index] = base_addr + key * record_size
-        ops[index] = OP_LOAD if op is OpType.READ else OP_STORE
-    return AccessTrace.from_columns(addrs, record_size, ops)
+        addrs = base_addr + (keys % capacity_records) * record_size
+        ops = np.where(codes == _READ, OP_LOAD, OP_STORE)
+        yield AccessTrace.from_columns(addrs, record_size, ops)

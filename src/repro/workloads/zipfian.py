@@ -13,6 +13,19 @@ import numpy as np
 DEFAULT_THETA = 0.99  # YCSB's default Zipfian constant
 
 
+def scatter_multiplier(n: int) -> int:
+    """Multiplier of the fixed affine permutation that scatters hot ranks
+    across [0, n); coprime with ``n`` so that it is a permutation."""
+    multiplier = 2654435761 % n
+    if np.gcd(multiplier, n) != 1:
+        multiplier = 1
+        for candidate in range(2654435761 % n, 2654435761 % n + n):
+            if np.gcd(candidate % n, n) == 1 and candidate % n > 1:
+                multiplier = candidate % n
+                break
+    return multiplier
+
+
 class ZipfianGenerator:
     """Samples integers in [0, n) with P(i) proportional to 1/(i+1)^theta."""
 
@@ -28,6 +41,7 @@ class ZipfianGenerator:
         weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), theta)
         self._cdf = np.cumsum(weights)
         self._cdf /= self._cdf[-1]
+        self._multiplier = scatter_multiplier(n)
 
     def sample(self, count: int = 1) -> np.ndarray:
         """Draw ``count`` skewed ranks (0 is the hottest)."""
@@ -40,15 +54,7 @@ class ZipfianGenerator:
         """Skewed ranks scrambled over the key space (hot keys spread out),
         matching YCSB's hashed item ordering."""
         ranks = self.sample(count)
-        # A fixed affine permutation scatters hot ranks across [0, n).
-        multiplier = 2654435761 % self.n
-        if np.gcd(multiplier, self.n) != 1:
-            multiplier = 1
-            for candidate in range(2654435761 % self.n, 2654435761 % self.n + self.n):
-                if np.gcd(candidate % self.n, self.n) == 1 and candidate % self.n > 1:
-                    multiplier = candidate % self.n
-                    break
-        return (ranks * multiplier + 17) % self.n
+        return (ranks * self._multiplier + 17) % self.n
 
 
 class LatestGenerator:
@@ -70,8 +76,26 @@ class LatestGenerator:
         self.count += 1
         return key
 
+    def record_inserts(self, inserts: int) -> np.ndarray:
+        """``inserts`` new records were inserted; returns their keys, as
+        that many :meth:`record_insert` calls would."""
+        keys = np.arange(self.count, self.count + inserts, dtype=np.int64)
+        self.count += inserts
+        return keys
+
     def sample(self, batch: int = 1) -> np.ndarray:
         """Keys skewed toward the most recent insert."""
         distances = self._zipf.sample(batch)
         keys = (self.count - 1) - distances
+        return np.maximum(keys, 0)
+
+    def sample_after(self, inserted: np.ndarray) -> np.ndarray:
+        """One key per entry of ``inserted``: entry *i* is drawn as
+        :meth:`sample` would draw it after ``inserted[i]`` more inserts.
+
+        The draws consume the same random stream as ``len(inserted)``
+        calls of ``sample(1)``; the insert count itself is not advanced.
+        """
+        distances = self._zipf.sample(len(inserted))
+        keys = (self.count - 1 + inserted) - distances
         return np.maximum(keys, 0)

@@ -25,11 +25,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.apps.kvstore import KVStore, run_ycsb
 from repro.baselines import DRAMOnly, TraditionalStack, UnifiedMMap
 from repro.config import EngineConfig, small_config
 from repro.core.hierarchy import FlatFlash
 from repro.engine import AccessTrace, replay
 from repro.sim import domain_tags, sanitizers
+from repro.workloads.ycsb import YCSB_A, YCSB_B, YCSB_D
 
 # The package re-exports the replay *function* under the submodule's
 # name, so fetch the module itself for monkeypatching internals.
@@ -263,3 +265,150 @@ def test_mutant_dropped_promotion_is_caught(monkeypatch):
     reference = observable_state(reference_system)
     assert mutated != reference  # the suite's state comparison catches it
     assert mutated["page_table"] != reference["page_table"]
+
+
+# --------------------------------------------------------------------- #
+# run_ycsb: compiled chunks through the engine vs the scalar KV loop
+# --------------------------------------------------------------------- #
+
+kvstore_module = importlib.import_module("repro.apps.kvstore")
+ycsb_module = importlib.import_module("repro.workloads.ycsb")
+
+#: 64-byte records filling the whole mapped region, all of them drawn
+#: from: 24 pages over 16 DRAM frames, so paging systems keep faulting.
+KV_RECORDS = REGION_PAGES * page // 64
+
+
+def build_store(kind_name, engine, chunk_ops=64):
+    """A KV store over the region; tiny chunks split the run into many."""
+    config = small_config(engine=EngineConfig(enabled=engine, chunk_ops=chunk_ops))
+    if kind_name == "DRAMOnly":
+        config.geometry.dram_pages = REGION_PAGES + 8
+    return KVStore(SYSTEMS[kind_name](config), capacity_records=KV_RECORDS)
+
+
+def ycsb_state(store):
+    state = observable_state(store.system)
+    state["background_ns"] = store.system.background_ns
+    return state
+
+
+def spy_replays(monkeypatch):
+    """Record every ReplayResult run_ycsb's engine path produces."""
+    results = []
+    real = kvstore_module.replay
+
+    def spying(system, trace):
+        result = real(system, trace)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(kvstore_module, "replay", spying)
+    return results
+
+
+def assert_ycsb_equivalent(kind_name, workload, num_ops=600, seed=3, chunk_ops=64):
+    scalar_store = build_store(kind_name, engine=False)
+    engine_store = build_store(kind_name, engine=True, chunk_ops=chunk_ops)
+    scalar = run_ycsb(scalar_store, workload, num_ops, KV_RECORDS, seed=seed)
+    engine = run_ycsb(engine_store, workload, num_ops, KV_RECORDS, seed=seed)
+    assert engine.samples == scalar.samples, "samples diverged"
+    assert (engine.count, engine.total, engine.minimum, engine.maximum) == (
+        scalar.count,
+        scalar.total,
+        scalar.minimum,
+        scalar.maximum,
+    )
+    scalar_state = ycsb_state(scalar_store)
+    engine_state = ycsb_state(engine_store)
+    for key in scalar_state:
+        assert engine_state[key] == scalar_state[key], f"{kind_name} diverged on {key}"
+
+
+@pytest.mark.parametrize("kind_name", sorted(SYSTEMS))
+@pytest.mark.parametrize("workload", [YCSB_A, YCSB_B, YCSB_D], ids=lambda w: w.name)
+def test_run_ycsb_engine_matches_scalar(kind_name, workload, monkeypatch):
+    replays = spy_replays(monkeypatch)
+    assert_ycsb_equivalent(kind_name, workload)
+    assert len(replays) == -(-600 // 64)  # one replay per compiled chunk
+    assert all(result.blockers == [] for result in replays)
+    if kind_name == "UnifiedMMap":
+        assert sum(result.fused_ops for result in replays) > 0
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chunk_ops=st.integers(min_value=1, max_value=700), seed=st.integers(0, 2**16))
+def test_run_ycsb_chunk_size_invisible(chunk_ops, seed):
+    assert_ycsb_equivalent("UnifiedMMap", YCSB_D, num_ops=300, seed=seed, chunk_ops=chunk_ops)
+
+
+def assert_ycsb_raises_alike(kind_name, arm, error):
+    """Both paths raise ``error`` at the same op and leave the same state."""
+    stores = []
+    for engine in (False, True):
+        store = build_store(kind_name, engine=engine)
+        arm(store.system)
+        with pytest.raises(error):
+            run_ycsb(store, YCSB_A, 600, KV_RECORDS, seed=5)
+        stores.append(store)
+    scalar_store, engine_store = stores
+    counters = [store.system.stats.counters() for store in stores]
+    ops = [c.get("kv.gets", 0) + c.get("kv.puts", 0) for c in counters]
+    assert 64 < ops[0] < 600 and ops[0] % 64 != 1  # raised mid-chunk, not at its start
+    for name in ("kv.gets", "kv.puts"):
+        assert counters[1].get(name) == counters[0].get(name), name
+    assert ycsb_state(engine_store) == ycsb_state(scalar_store)
+
+
+def reference_clock_at(kind_name, op_index):
+    """Simulated time at which the scalar run starts op ``op_index``."""
+    store = build_store(kind_name, engine=False)
+    stats = run_ycsb(store, YCSB_A, 600, KV_RECORDS, seed=5)
+    return sum(stats.samples[:op_index])
+
+
+@pytest.mark.parametrize("kind_name", ["FlatFlash", "UnifiedMMap"])
+def test_run_ycsb_power_loss_mid_chunk(kind_name):
+    from repro.sim.clock import PowerLossTriggered
+
+    deadline = reference_clock_at(kind_name, 300) + 1
+    assert_ycsb_raises_alike(
+        kind_name, lambda system: system.clock.arm_power_loss(deadline), PowerLossTriggered
+    )
+
+
+def test_run_ycsb_fault_raised_on_delegated_row():
+    """A page fault that raises mid-chunk on the fused path (no blockers)."""
+    from repro.host.page_table import Domain
+
+    start = reference_clock_at("UnifiedMMap", 300)
+
+    class InjectedMediaError(Exception):
+        pass
+
+    def arm(system):
+        real = system._access_page
+
+        def failing(vpn, offset, size, is_write, data):
+            pte = system.page_table._entries.get(vpn)
+            resident = pte is not None and pte.present and pte.domain is Domain.DRAM
+            if not resident and system.clock.now >= start:
+                raise InjectedMediaError(vpn)
+            return real(vpn, offset, size, is_write, data)
+
+        system._access_page = failing
+
+    assert_ycsb_raises_alike("UnifiedMMap", arm, InjectedMediaError)
+
+
+def test_mutant_shifted_ycsb_chunk_boundary_is_caught(monkeypatch):
+    """A compile chunk starting one op after its predecessor ended must
+    trip the run_ycsb gate."""
+
+    def shifted(num_ops, chunk_ops):
+        for start in range(0, num_ops, chunk_ops):
+            yield start + (start > 0), min(start + chunk_ops, num_ops)
+
+    monkeypatch.setattr(ycsb_module, "chunk_bounds", shifted)
+    with pytest.raises(AssertionError, match="samples diverged"):
+        assert_ycsb_equivalent("UnifiedMMap", YCSB_A)

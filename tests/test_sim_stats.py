@@ -1,9 +1,15 @@
 """Tests for counters, ratios, latency stats and the registry."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.sim import race
 from repro.sim.stats import Counter, LatencyStats, RatioStat, StatRegistry
+
+
+def latency_fields(stats):
+    return (stats.count, stats.total, stats._min, stats._max, stats.samples)
 
 
 class TestCounter:
@@ -142,6 +148,64 @@ class TestLatencyStats:
         stats = LatencyStats("l")
         stats.extend(samples)
         assert stats.percentile(25) <= stats.percentile(75) <= stats.percentile(100)
+
+
+class TestLatencyExtend:
+    """extend() is one bulk update equal to one record() per value."""
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=10**12)),
+        st.lists(st.integers(min_value=0, max_value=10**12)),
+        st.booleans(),
+    )
+    def test_equals_record_calls(self, before, batch, keep_samples):
+        recorded = LatencyStats("l", keep_samples=keep_samples)
+        extended = LatencyStats("l", keep_samples=keep_samples)
+        for value in before + batch:
+            recorded.record(value)
+        for value in before:
+            extended.record(value)
+        extended.extend(batch)
+        assert latency_fields(extended) == latency_fields(recorded)
+
+    def test_accepts_numpy_and_converts_like_record(self):
+        recorded, extended = LatencyStats("l"), LatencyStats("l")
+        values = np.array([7, 3, 9], dtype=np.int64)
+        for value in values:
+            recorded.record(value)
+        extended.extend(values)
+        assert latency_fields(extended) == latency_fields(recorded)
+        assert all(type(value) is int for value in extended.samples)
+
+    def test_negative_value_raises_before_any_change(self):
+        stats = LatencyStats("l")
+        stats.record(4)
+        before = latency_fields(stats)
+        with pytest.raises(ValueError, match="negative latency recorded on 'l': -2"):
+            stats.extend([1, 2, -2, 5, -7])
+        assert latency_fields(stats) == before
+
+    def test_race_hook_notes_once_per_value(self):
+        def notes(fill):
+            recorder = race.AccessRecorder()
+            stats = LatencyStats("l")
+            recorder.register(stats, "l")
+            recorder.set_context(1, frozenset())
+            previous = race.install(recorder)
+            try:
+                fill(stats)
+            finally:
+                race.install(previous)
+            return recorder.records
+
+        def one_by_one(stats):
+            for value in (3, 1, 2):
+                stats.record(value)
+
+        bulk = notes(lambda stats: stats.extend([3, 1, 2]))
+        assert bulk == notes(one_by_one)
+        assert len(bulk) == 3
+        assert notes(lambda stats: stats.extend([])) == []
 
 
 class TestStatRegistry:

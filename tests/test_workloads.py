@@ -2,12 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import DRAMOnly, FlatFlash, small_config
+from repro.engine import OP_LOAD, OP_STORE
+from repro.workloads import ycsb
 from repro.workloads.gups import run_gups
 from repro.workloads.synthetic import random_access, sequential_access, warm_up
-from repro.workloads.ycsb import OpType, WORKLOADS, YCSB_B, YCSB_D, generate_ops
-from repro.workloads.zipfian import LatestGenerator, ZipfianGenerator
+from repro.workloads.ycsb import (
+    OP_CODES,
+    WORKLOADS,
+    YCSB_B,
+    YCSB_D,
+    OpType,
+    YCSBWorkload,
+    compile_trace,
+    generate_op_chunks,
+    generate_ops,
+)
+from repro.workloads.zipfian import LatestGenerator, ZipfianGenerator, scatter_multiplier
 
 
 @pytest.fixture
@@ -120,6 +133,58 @@ class TestZipfian:
         assert key == 100
         assert latest.count == 101
 
+    def test_latest_bulk_inserts_match_single_inserts(self):
+        single, bulk = LatestGenerator(100), LatestGenerator(100)
+        keys = [single.record_insert() for _ in range(5)]
+        assert bulk.record_inserts(5).tolist() == keys
+        assert bulk.count == single.count
+
+    def test_latest_sample_after_matches_interleaved_samples(self):
+        single, bulk = LatestGenerator(50, seed=8), LatestGenerator(50, seed=8)
+        inserted = np.array([0, 0, 2, 3, 3, 7])
+        expected = []
+        for count in inserted.tolist():
+            while single.count < 50 + count:
+                single.record_insert()
+            expected.append(int(single.sample(1)[0]))
+        assert bulk.sample_after(inserted).tolist() == expected
+        assert bulk.count == 50  # the insert count is not advanced
+
+
+def per_call_multiplier(n):
+    """The scatter multiplier as sample_scattered used to compute it per call."""
+    multiplier = 2654435761 % n
+    if np.gcd(multiplier, n) != 1:
+        multiplier = 1
+        for candidate in range(2654435761 % n, 2654435761 % n + n):
+            if np.gcd(candidate % n, n) == 1 and candidate % n > 1:
+                multiplier = candidate % n
+                break
+    return multiplier
+
+
+class TestScatterMultiplier:
+    """sample_scattered computes its multiplier once, with unchanged keys."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1_000, 16_384, 99_991])
+    def test_scattered_keys_unchanged(self, n):
+        ranks = ZipfianGenerator(n, seed=6).sample(2_000)
+        expected = (ranks * per_call_multiplier(n) + 17) % n
+        zipf = ZipfianGenerator(n, seed=6)
+        singles = [zipf.sample_scattered(1) for _ in range(1_000)]
+        keys = np.concatenate(singles + [zipf.sample_scattered(1_000)])
+        assert keys.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("n", [2654435761, 2 * 2654435761, 3 * 2654435761])
+    def test_gcd_fallback_branch(self, n):
+        # 2654435761 is prime: only its multiples take the fallback, and a
+        # generator that large would need a CDF of billions of entries, so
+        # the once-computed multiplier is checked on its own.
+        assert np.gcd(2654435761 % n, n) != 1
+        multiplier = scatter_multiplier(n)
+        assert multiplier == per_call_multiplier(n)
+        assert np.gcd(multiplier, n) == 1 and multiplier > 1
+
 
 class TestYCSB:
     def test_op_mix_matches_workload(self):
@@ -152,3 +217,78 @@ class TestYCSB:
     def test_all_named_workloads_valid(self):
         for workload in WORKLOADS.values():
             workload.validate()
+
+
+YCSB_U = YCSBWorkload("YCSB-U", 0.5, 0.3, 0.2, "uniform")
+
+
+def chunked_ops(workload, num_ops, num_records, theta, seed, chunk_ops):
+    """generate_op_chunks' stream flattened to generate_ops' (op, key) pairs."""
+    return [
+        (OP_CODES[code], key)
+        for codes, keys in generate_op_chunks(
+            workload, num_ops, num_records, theta=theta, seed=seed, chunk_ops=chunk_ops
+        )
+        for code, key in zip(codes.tolist(), keys.tolist())
+    ]
+
+
+class TestChunkedCompile:
+    """The vectorised, chunked compile is exactly generate_ops' stream."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        workload=st.sampled_from(sorted(WORKLOADS) + ["uniform"]),
+        num_ops=st.integers(1, 700),
+        num_records=st.integers(1, 3_000),
+        theta=st.floats(0.05, 0.99),
+        seed=st.integers(0, 2**16),
+        chunk=st.one_of(
+            st.just(1), st.integers(2, 300), st.integers(701, 5_000)  # > num_ops
+        ),
+    )
+    def test_stream_identity(self, workload, num_ops, num_records, theta, seed, chunk):
+        workload = YCSB_U if workload == "uniform" else WORKLOADS[workload]
+        expected = list(generate_ops(workload, num_ops, num_records, theta=theta, seed=seed))
+        got = chunked_ops(workload, num_ops, num_records, theta, seed, chunk)
+        assert got == expected
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1_000, 4_096])
+    def test_stream_identity_with_inserts_across_chunks(self, chunk):
+        for workload in (YCSB_D, YCSB_U):
+            expected = list(generate_ops(workload, 2_000, 300, seed=11))
+            assert chunked_ops(workload, 2_000, 300, 0.99, 11, chunk) == expected
+
+    def test_trace_wraps_keys_like_the_driver(self):
+        base, capacity, size = 1 << 20, 1_010, 64
+        expected = [
+            (base + (key % capacity) * size, OP_LOAD if op is OpType.READ else OP_STORE)
+            for op, key in generate_ops(YCSB_D, 3_000, 1_000, seed=2)
+        ]
+        traces = list(
+            compile_trace(YCSB_D, 3_000, 1_000, base, capacity_records=capacity, seed=2,
+                          chunk_ops=500)
+        )
+        assert [len(trace) for trace in traces] == [500] * 6
+        rows = np.concatenate([trace.rows for trace in traces])
+        assert list(zip(rows["addr"].tolist(), rows["op"].tolist())) == expected
+        assert set(rows["size"].tolist()) == {size}
+
+    def test_invalid_arguments(self):
+        for bad in (dict(num_ops=0), dict(num_records=0), dict(chunk_ops=0)):
+            args = dict(num_ops=10, num_records=10, chunk_ops=4)
+            args.update(bad)
+            with pytest.raises(ValueError):
+                next(generate_op_chunks(YCSB_B, **args))
+
+    def test_mutant_shifted_chunk_boundary_is_caught(self, monkeypatch):
+        """A chunk that starts one op after its predecessor ended must
+        break the identity."""
+
+        def shifted(num_ops, chunk_ops):
+            for start in range(0, num_ops, chunk_ops):
+                yield start + (start > 0), min(start + chunk_ops, num_ops)
+
+        monkeypatch.setattr(ycsb, "chunk_bounds", shifted)
+        expected = list(generate_ops(YCSB_B, 500, 200, seed=4))
+        assert chunked_ops(YCSB_B, 500, 200, 0.99, 4, 64) != expected
