@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test lint flow effects costs batch race faults bench experiments sweep examples all clean
+.PHONY: install test lint flow effects costs batch race faults bench calls experiments sweep examples all clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -55,6 +55,16 @@ faults:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Interpretive work per op (cProfile calls, seed 1) on each benchmark
+# workload: a change's call count without the full benchmark output.
+calls:
+	@for workload in gups pagerank ycsb tpcb; do \
+		out=$$($(PYTHON) perfbench/run.py --workload $$workload --seed 1 --seconds 1) \
+			|| { echo "$$out"; exit 1; }; \
+		printf '%-9s ' $$workload; \
+		echo "$$out" | grep '^host_calls_per_op'; \
+	done
 
 experiments:
 	$(PYTHON) -m repro all

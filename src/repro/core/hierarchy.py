@@ -189,8 +189,10 @@ class FlatFlash(MemorySystem):
     def _access_page(
         self, vpn: VPN, offset: OffsetBytes, size: int, is_write: bool, data: Optional[bytes]
     ) -> AccessResult:
-        self._settle_promotions()
-        self._drain_remaps()
+        if self._in_flight:
+            self._settle_promotions()
+        if self.ssd._remap:
+            self._drain_remaps()
         if self.config.promotion.sequential_prefetch:
             self._detect_stream(vpn)
         pte = self.page_table.lookup(vpn)
@@ -633,8 +635,6 @@ class FlatFlash(MemorySystem):
 
     def _settle_promotions(self) -> None:
         """Retire in-flight promotions whose copy has completed."""
-        if not self._in_flight:
-            return
         now = self.clock.now
         finished = [
             flight

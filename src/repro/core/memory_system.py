@@ -59,7 +59,9 @@ class AccessResult:
 class MappedRegion:
     """A contiguous virtual mapping backed by the SSD (an mmap-ed file)."""
 
-    __slots__ = ("base_vpn", "num_pages", "page_size", "persist", "name")
+    __slots__ = (
+        "base_vpn", "num_pages", "page_size", "persist", "name", "base_addr", "size"
+    )
 
     def __init__(
         self, base_vpn: VPN, num_pages: int, page_size: int, persist: bool, name: str
@@ -69,14 +71,8 @@ class MappedRegion:
         self.page_size = page_size
         self.persist = persist
         self.name = name
-
-    @property
-    def base_addr(self) -> int:
-        return self.base_vpn * self.page_size
-
-    @property
-    def size(self) -> int:
-        return self.num_pages * self.page_size
+        self.base_addr = base_vpn * page_size
+        self.size = num_pages * page_size
 
     def addr(self, offset: int) -> int:
         """Virtual address ``offset`` bytes into the region."""

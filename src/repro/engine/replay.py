@@ -15,8 +15,9 @@ Python call tower for the common case.  The dispatch rule per row:
   counters are plain sums, so deferred flushing is exact).  FlatFlash's
   per-access maintenance hooks (`_settle_promotions`, `_drain_remaps`)
   are ORDER_DEPENDENT and are invoked for real — but only when their
-  cheap emptiness guards (`_in_flight`, `ssd._remap`) say they would do
-  work, which is exactly when the scalar path does work too.
+  emptiness guards (`_in_flight`, `ssd._remap`) say they would do work.
+  The scalar ``FlatFlash._access_page`` tests the same two guards
+  before calling the hooks, so both paths call them in the same cases.
 
 * **Delegated, thin** — a single-page access whose PTE is not DRAM
   resident (SSD direct access, page fault, in-flight promotion) still
@@ -219,8 +220,9 @@ def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
                 if pte is not None and pte.present and pte.domain is domain_dram:
                     # --- fused DRAM fast path ---
                     if is_flat:
-                        # ORDER_DEPENDENT maintenance runs for real; the
-                        # emptiness guards mirror the scalar early-returns.
+                        # ORDER_DEPENDENT maintenance runs for real,
+                        # behind the same emptiness guards as the scalar
+                        # FlatFlash._access_page.
                         # (Settle/drain never demote a DRAM-resident PTE,
                         # so the dispatch above cannot be invalidated.)
                         if in_flight:

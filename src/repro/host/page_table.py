@@ -95,7 +95,7 @@ class PageTable:
     @effects("MUTATES_STATE")
     def entry(self, vpn: VPN) -> PageTableEntry:
         """The PTE for ``vpn``, created on first reference."""
-        domain_tags.check(vpn, "VPN", "PageTable.entry")
+        domain_tags._ENABLED and domain_tags.check(vpn, "VPN", "PageTable.entry")
         pte = self._entries.get(vpn)
         if pte is None:
             pte = PageTableEntry(vpn)
@@ -110,7 +110,7 @@ class PageTable:
     @kernel(may_raise=("KeyError", "DomainTagError"))
     def walk(self, vpn: VPN) -> Tuple[PageTableEntry, TimeNs]:
         """A hardware page-table walk: returns (PTE, cost in ns)."""
-        domain_tags.check(vpn, "VPN", "PageTable.walk")
+        domain_tags._ENABLED and domain_tags.check(vpn, "VPN", "PageTable.walk")
         self._walks.add()
         pte = self._entries.get(vpn)
         if pte is None:

@@ -94,8 +94,8 @@ class PLB:
         self, ssd_tag: HostPage, mem_tag: PFN, num_lines: int, complete_at_ns: TimeNs
     ) -> Optional[PLBEntry]:
         """Begin tracking a promotion; None when the table is full."""
-        domain_tags.check(ssd_tag, "HOST_PAGE", "PLB.start")
-        domain_tags.check(mem_tag, "PFN", "PLB.start")
+        domain_tags._ENABLED and domain_tags.check(ssd_tag, "HOST_PAGE", "PLB.start")
+        domain_tags._ENABLED and domain_tags.check(mem_tag, "PFN", "PLB.start")
         if ssd_tag in self._by_ssd_tag:
             raise ValueError(f"promotion of SSD page {ssd_tag} already in flight")
         if not self.has_free_entry:

@@ -67,7 +67,7 @@ class TLB:
     @kernel(may_raise=("DomainTagError",))
     def fill(self, vpn: VPN) -> None:
         """Install a translation after a walk, evicting LRU if full."""
-        domain_tags.check(vpn, "VPN", "TLB.fill")
+        domain_tags._ENABLED and domain_tags.check(vpn, "VPN", "TLB.fill")
         if vpn in self._cached:
             self._cached.move_to_end(vpn)
             return

@@ -212,7 +212,8 @@ class PCIeLink:
         lines = self._cachelines(size)
         self._reads.add(lines)
         self._bytes_from_device.add(size)
-        self._maybe_fault("mmio_read", lines * self.latency.mmio_read_cacheline_ns)
+        if self.faults is not None or self._down:
+            self._maybe_fault("mmio_read", lines * self.latency.mmio_read_cacheline_ns)
         if self.persistence_sanitizer is not None:
             self.persistence_sanitizer.on_ordering_read()
         return lines * self.latency.mmio_read_cacheline_ns
@@ -223,7 +224,8 @@ class PCIeLink:
         lines = self._cachelines(size)
         self._writes.add(lines)
         self._bytes_to_device.add(size)
-        self._maybe_fault("mmio_write", lines * self.latency.mmio_write_cacheline_ns)
+        if self.faults is not None or self._down:
+            self._maybe_fault("mmio_write", lines * self.latency.mmio_write_cacheline_ns)
         if self.persistence_sanitizer is not None:
             self.persistence_sanitizer.on_posted_tlp(lines)
         return lines * self.latency.mmio_write_cacheline_ns
@@ -235,7 +237,8 @@ class PCIeLink:
         self._atomics.add(1)
         self._bytes_to_device.add(size)
         self._bytes_from_device.add(size)
-        self._maybe_fault("mmio_atomic", lines * self.latency.mmio_read_cacheline_ns)
+        if self.faults is not None or self._down:
+            self._maybe_fault("mmio_atomic", lines * self.latency.mmio_read_cacheline_ns)
         if self.persistence_sanitizer is not None:
             self.persistence_sanitizer.on_ordering_read()
         return lines * self.latency.mmio_read_cacheline_ns
@@ -243,7 +246,8 @@ class PCIeLink:
     @effects("MUTATES_STATE", "MUTATES_STATS")
     def verify_read_cost(self) -> TimeNs:
         """Cost of the write-verify read flushing posted writes (§3.5)."""
-        self._check_link("pcie.verify_read")
+        if self._down:
+            self._check_link("pcie.verify_read")
         self._reads.add(1)
         self._bytes_from_device.add(self.cacheline_size)
         if self.persistence_sanitizer is not None:
@@ -253,7 +257,8 @@ class PCIeLink:
     @effects("MUTATES_STATS")
     def dma_to_host_cost(self, size: int) -> TimeNs:
         """Cost of a device-initiated DMA into host DRAM (page promotion)."""
-        self._check_link("pcie.dma_to_host")
+        if self._down:
+            self._check_link("pcie.dma_to_host")
         pages = self._cachelines(size) * self.cacheline_size
         self._dma_ops.add(1)
         self._bytes_from_device.add(size)
@@ -265,7 +270,8 @@ class PCIeLink:
     @effects("MUTATES_STATS")
     def dma_from_host_cost(self, size: int) -> TimeNs:
         """Cost of a DMA from host DRAM into the device (page write-back)."""
-        self._check_link("pcie.dma_from_host")
+        if self._down:
+            self._check_link("pcie.dma_from_host")
         self._dma_ops.add(1)
         self._bytes_to_device.add(size)
         chunk = 4_096

@@ -70,7 +70,8 @@ class SimClock:
         if delta < 0:
             raise ValueError(f"cannot advance clock by negative delta: {delta}")
         self._now += delta
-        self._check_power_deadline()
+        if self._power_deadline is not None:
+            self._check_power_deadline()
         return self._now
 
     def advance_to(self, timestamp_ns: int) -> int:
@@ -80,7 +81,8 @@ class SimClock:
         timestamp = int(timestamp_ns)
         if timestamp > self._now:
             self._now = timestamp
-        self._check_power_deadline()
+        if self._power_deadline is not None:
+            self._check_power_deadline()
         return self._now
 
     # ------------------------------------------------------------------ #
@@ -105,8 +107,10 @@ class SimClock:
         return self._power_deadline
 
     def _check_power_deadline(self) -> None:
+        """Fire the armed deadline once time has reached it; callers test
+        that a deadline is armed."""
         deadline = self._power_deadline
-        if deadline is not None and self._now >= deadline:
+        if self._now >= deadline:
             # Disarm first: crash handling on the dying system may still
             # touch the clock and must not re-trigger.
             self._power_deadline = None

@@ -210,15 +210,12 @@ class Simulator:
         self._seq += 1
 
     def _sync_recorder(self, state: _ProcState) -> None:
-        """Refresh the recorder's (pid, lockset) context for ``state``."""
-        recorder = self._recorder
-        if recorder is None:
-            return
+        """Refresh the attached recorder's (pid, lockset) context for ``state``."""
         names = frozenset(
             [lock.name for lock in state.held_locks]
             + [sem.name for sem in state.held_slots]
         )
-        recorder.set_context(state.pid, names)
+        self._recorder.set_context(state.pid, names)
 
     def _release_lock(self, pid: int, lock: Lock) -> None:
         """Release ``lock`` held by ``pid``, handing off to the next waiter."""
@@ -277,7 +274,8 @@ class Simulator:
     def _step_process(self, pid: int) -> None:
         """Advance one process until it blocks, delays, or finishes."""
         state = self._procs[pid]
-        self._sync_recorder(state)
+        if self._recorder is not None:
+            self._sync_recorder(state)
         try:
             self._run_slice(state)
         finally:
@@ -287,6 +285,7 @@ class Simulator:
     def _run_slice(self, state: _ProcState) -> None:
         pid = state.pid
         sanitizer = self._sanitizer
+        recording = self._recorder is not None
         while True:
             try:
                 command = next(state.generator)
@@ -309,7 +308,8 @@ class Simulator:
                     state.held_locks.append(lock)
                     if sanitizer is not None:
                         sanitizer.on_acquired(pid, lock)
-                    self._sync_recorder(state)
+                    if recording:
+                        self._sync_recorder(state)
                     continue  # acquired immediately; keep running
                 lock.contended_acquisitions += 1
                 lock.waiters.append(pid)
@@ -319,7 +319,8 @@ class Simulator:
                 return
             if isinstance(command, Release):
                 self._release_lock(pid, command.lock)
-                self._sync_recorder(state)
+                if recording:
+                    self._sync_recorder(state)
                 continue  # keep running after a release
             if isinstance(command, AcquireSlot):
                 semaphore = command.semaphore
@@ -329,7 +330,8 @@ class Simulator:
                     state.held_slots.append(semaphore)
                     if sanitizer is not None:
                         sanitizer.on_slot_acquired(pid, semaphore)
-                    self._sync_recorder(state)
+                    if recording:
+                        self._sync_recorder(state)
                     continue
                 semaphore.contended_acquisitions += 1
                 semaphore.waiters.append(pid)
@@ -339,7 +341,8 @@ class Simulator:
                 return
             if isinstance(command, ReleaseSlot):
                 self._release_slot(pid, command.semaphore)
-                self._sync_recorder(state)
+                if recording:
+                    self._sync_recorder(state)
                 continue
             raise TypeError(f"process {pid} yielded unknown command: {command!r}")
 

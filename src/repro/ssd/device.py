@@ -240,7 +240,9 @@ class ByteAddressableSSD:
         a flash ppn, in device-FTL mode it *is* the lpn.  The explicit
         domain casts are the permission slip for that reinterpretation.
         """
-        domain_tags.check(host_page, "HOST_PAGE", "ByteAddressableSSD.resolve_lpn")
+        domain_tags._ENABLED and domain_tags.check(
+            host_page, "HOST_PAGE", "ByteAddressableSSD.resolve_lpn"
+        )
         if self.host_merged_ftl:
             # The pun proper: reinterpret the BAR page number as a flash
             # ppn first, then chase any pending GC relocations (the remap
@@ -257,7 +259,7 @@ class ByteAddressableSSD:
 
     def host_page_of(self, lpn: LPN) -> HostPage:
         """Current host-visible page number for an lpn (inverse pun)."""
-        domain_tags.check(lpn, "LPN", "ByteAddressableSSD.host_page_of")
+        domain_tags._ENABLED and domain_tags.check(lpn, "LPN", "ByteAddressableSSD.host_page_of")
         if self.host_merged_ftl:
             return HostPage(self.ftl.lookup(lpn))
         return HostPage(lpn)
@@ -275,7 +277,10 @@ class ByteAddressableSSD:
         """
         if not self._remap:
             return {}, 0
-        updates = {HostPage(old): HostPage(new) for old, new in self._remap.items()}
+        if domain_tags._ENABLED:
+            updates = {HostPage(old): HostPage(new) for old, new in self._remap.items()}
+        else:
+            updates = dict(self._remap)
         self._remap.clear()
         self._remap_sources.clear()
         return updates, self.config.latency.pte_tlb_update_ns

@@ -142,6 +142,7 @@ class FlashArray:
         self.num_channels = num_channels
         self.num_blocks = num_blocks
         self.pages_per_block = pages_per_block
+        self.total_pages = num_blocks * pages_per_block
         self.page_size = page_size
         self.latency = latency
         self.track_data = track_data
@@ -163,12 +164,8 @@ class FlashArray:
         self._erase_fails = self.stats.counter("flash.erase_fails")
         self._wear_retired = self.stats.counter("flash.wear_retired_blocks")
 
-    @property
-    def total_pages(self) -> int:
-        return self.num_blocks * self.pages_per_block
-
     def _check_ppn(self, ppn: PPN) -> None:
-        domain_tags.check(ppn, "PPN", "FlashArray")
+        domain_tags._ENABLED and domain_tags.check(ppn, "PPN", "FlashArray")
         if not 0 <= ppn < self.total_pages:
             raise ValueError(f"ppn {ppn} out of range [0, {self.total_pages})")
 
@@ -250,7 +247,7 @@ class FlashArray:
     def erase(self, block_index: BlockIndex) -> "FlashOp":
         """Erase a whole block.  Erasing a block with valid pages raises —
         the GC must relocate them first."""
-        domain_tags.check(block_index, "BLOCK", "FlashArray.erase")
+        domain_tags._ENABLED and domain_tags.check(block_index, "BLOCK", "FlashArray.erase")
         if not 0 <= block_index < self.num_blocks:
             raise ValueError(f"block {block_index} out of range [0, {self.num_blocks})")
         block = self.blocks[block_index]

@@ -106,7 +106,7 @@ class PageFTL:
     # ------------------------------------------------------------------ #
 
     def _check_lpn(self, lpn: LPN) -> None:
-        domain_tags.check(lpn, "LPN", "PageFTL")
+        domain_tags._ENABLED and domain_tags.check(lpn, "LPN", "PageFTL")
         if not 0 <= lpn < self.exported_pages:
             raise ValueError(f"lpn {lpn} out of range [0, {self.exported_pages})")
 
@@ -127,7 +127,7 @@ class PageFTL:
     @kernel(may_raise=("DomainTagError",))
     def lpn_of(self, ppn: PPN) -> Optional[LPN]:
         """Reverse lookup: which lpn currently lives at this ppn."""
-        domain_tags.check(ppn, "PPN", "PageFTL.lpn_of")
+        domain_tags._ENABLED and domain_tags.check(ppn, "PPN", "PageFTL.lpn_of")
         lpn = self.reverse.get(ppn)
         return None if lpn is None else LPN(lpn)
 

@@ -139,7 +139,7 @@ class SSDCache:
     @kernel(may_raise=("DomainTagError", "ValueError"))
     def lookup(self, lpn: LPN, record: bool = True) -> Optional[CacheEntry]:
         """Find a cached page; a hit refreshes the replacement state."""
-        domain_tags.check(lpn, "LPN", "SSDCache.lookup")
+        domain_tags._ENABLED and domain_tags.check(lpn, "LPN", "SSDCache.lookup")
         slot = self._where.get(lpn)
         if slot is None:
             if record:

@@ -71,6 +71,9 @@ class DomainType:
     use (``__supertype__``, ``__name__``, identity call) while staying
     an ordinary object we can hook: when shadow tagging is enabled the
     call wraps its argument in a :class:`~repro.sim.domain_tags.TaggedInt`.
+    When tagging is off the call returns its argument untouched without
+    calling :func:`~repro.sim.domain_tags.tag` — a switched-off hook
+    costs no call, so the switch is tested here at the call site.
     """
 
     __slots__ = ("__name__", "kind")
@@ -84,7 +87,9 @@ class DomainType:
         self.kind = kind
 
     def __call__(self, value: int) -> int:
-        return domain_tags.tag(value, self.kind)
+        if domain_tags._ENABLED:
+            return domain_tags.tag(value, self.kind)
+        return value
 
     def __repr__(self) -> str:
         return f"repro.units.{self.__name__}"

@@ -8,15 +8,19 @@ mixing point, while the real systems run clean end to end.
 
 import copy
 import pickle
+import re
 import struct
 
 import pytest
 
 from repro import FlatFlash, small_config
 from repro.sim import domain_tags
+from repro.host.page_table import PageTable
+from repro.host.plb import PLB
+from repro.host.tlb import TLB
 from repro.sim.domain_tags import DomainTagError, TaggedInt
 from repro.ssd.device import ByteAddressableSSD
-from repro.units import LPN, PPN, VPN, HostPage
+from repro.units import LPN, PFN, PPN, VPN, HostPage
 
 
 # --------------------------------------------------------------------- #
@@ -196,6 +200,49 @@ def test_vpn_as_lpn_misuse_raises_on_the_ftl():
     device = ByteAddressableSSD(small_config())
     with pytest.raises(DomainTagError):
         device.ftl.map_page(VPN(0))
+
+
+def _device():
+    return ByteAddressableSSD(small_config())
+
+
+#: Every guarded ``domain_tags.check`` site: (expected domain, context,
+#: a call that hands the site a value from the wrong domain).  The sites
+#: test the tagging switch themselves, so each must still fire when on.
+GUARDED_SITES = [
+    ("LPN", "SSDCache.lookup", lambda: _device().cache.lookup(PPN(0))),
+    ("PPN", "FlashArray", lambda: _device().flash.read(LPN(0))),
+    ("BLOCK", "FlashArray.erase", lambda: _device().flash.erase(PPN(0))),
+    ("LPN", "PageFTL", lambda: _device().ftl.is_mapped(VPN(0))),
+    ("PPN", "PageFTL.lpn_of", lambda: _device().ftl.lpn_of(LPN(0))),
+    (
+        "HOST_PAGE",
+        "ByteAddressableSSD.resolve_lpn",
+        lambda: _device().resolve_lpn(LPN(0)),
+    ),
+    (
+        "LPN",
+        "ByteAddressableSSD.host_page_of",
+        lambda: _device().host_page_of(HostPage(0)),
+    ),
+    ("VPN", "PageTable.entry", lambda: PageTable(100).entry(LPN(0))),
+    ("VPN", "PageTable.walk", lambda: PageTable(100).walk(PFN(0))),
+    ("VPN", "TLB.fill", lambda: TLB(4, 100).fill(PPN(0))),
+    ("HOST_PAGE", "PLB.start", lambda: PLB(4).start(PFN(0), PFN(1), 64, 0)),
+    ("PFN", "PLB.start", lambda: PLB(4).start(HostPage(0), HostPage(1), 64, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "domain, context, misuse",
+    GUARDED_SITES,
+    ids=[f"{context}-{domain}" for domain, context, _ in GUARDED_SITES],
+)
+def test_misuse_raises_at_every_guarded_site(domain, context, misuse):
+    assert domain_tags.enabled()
+    expected = f"expected a {domain} value in {context} but"
+    with pytest.raises(DomainTagError, match=re.escape(expected)):
+        misuse()
 
 
 # --------------------------------------------------------------------- #

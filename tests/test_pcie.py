@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import LatencyConfig
-from repro.interconnect.pcie import BarWindow, PCIeLink
+from repro.interconnect.pcie import BarWindow, DeviceLostError, PCIeLink
 
 
 @pytest.fixture
@@ -89,3 +89,24 @@ class TestPCIeLink:
         counters = link.stats.counters()
         assert counters["pcie.mmio_reads"] == 1
         assert counters["pcie.mmio_writes"] == 1
+
+    @pytest.mark.parametrize(
+        "method, args, site",
+        [
+            ("mmio_read_cost", (64,), "pcie.mmio_read"),
+            ("mmio_write_cost", (64,), "pcie.mmio_write"),
+            ("mmio_atomic_cost", (8,), "pcie.mmio_atomic"),
+            ("verify_read_cost", (), "pcie.verify_read"),
+            ("dma_to_host_cost", (4_096,), "pcie.dma_to_host"),
+            ("dma_from_host_cost", (4_096,), "pcie.dma_from_host"),
+        ],
+    )
+    def test_killed_link_raises_without_a_fault_plan(self, link, method, args, site):
+        assert link.faults is None
+        getattr(link, method)(*args)  # a live link serves the transaction
+        link.kill_link()
+        assert link.is_down
+        with pytest.raises(DeviceLostError) as excinfo:
+            getattr(link, method)(*args)
+        assert excinfo.value.site == site
+        assert excinfo.value.latency_ns == link.latency.mmio_timeout_ns

@@ -46,6 +46,26 @@ def test_advance_to_honors_deadline():
         clock.advance_to(60)
 
 
+@pytest.mark.parametrize(
+    "step",
+    [
+        lambda clock: clock.advance(0),
+        lambda clock: clock.advance(10),
+        lambda clock: clock.advance_to(0),  # a timestamp in the past
+        lambda clock: clock.advance_to(500),
+    ],
+    ids=["advance-0", "advance", "advance_to-past", "advance_to"],
+)
+def test_passed_deadline_fires_from_every_advance(step):
+    clock = SimClock()
+    clock.advance(200)
+    clock.arm_power_loss(100)  # already passed: fires on the next advance
+    with pytest.raises(PowerLossTriggered) as exc:
+        step(clock)
+    assert exc.value.at_ns == 100
+    assert clock.power_deadline is None
+
+
 def test_disarm_cancels():
     clock = SimClock()
     clock.arm_power_loss(10)
