@@ -56,11 +56,14 @@ faults:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Interpretive work per op (cProfile calls, seed 1) on each benchmark
-# workload: a change's call count without the full benchmark output.
+# Interpretive work per op (cProfile calls) on each benchmark workload: a
+# change's call count without the full benchmark output.  `make calls
+# SEED=9001` measures the held-out seed.
+SEED ?= 1
+
 calls:
 	@for workload in gups pagerank ycsb tpcb; do \
-		out=$$($(PYTHON) perfbench/run.py --workload $$workload --seed 1 --seconds 1) \
+		out=$$($(PYTHON) perfbench/run.py --workload $$workload --seed $(SEED) --seconds 1) \
 			|| { echo "$$out"; exit 1; }; \
 		printf '%-9s ' $$workload; \
 		echo "$$out" | grep '^host_calls_per_op'; \

@@ -14,13 +14,22 @@ the simulator.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.memory_system import MemorySystem
-from repro.engine import AccessTrace, replay, replay_enabled
+from repro.engine import OP_STORE, TRACE_DTYPE, AccessTrace, replay, replay_enabled
 from repro.workloads.graphs import CSRGraph
+
+
+def _edge_lines(indptr: np.ndarray, esize: int, line: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per vertex, the first cache line of its edge range and how many
+    lines the range touches (0 for a vertex without out-edges)."""
+    start = indptr[:-1] * esize
+    end = indptr[1:] * esize
+    first_line = start // line
+    return first_line, np.where(end > start, -(-end // line) - first_line, 0)
 
 
 class GraphEngine:
@@ -88,6 +97,12 @@ class GraphEngine:
         it is compiled once and cached on the graph object (the cache is
         keyed by the region base addresses, which repeat across sweep
         cells that map the same graph the same way).
+
+        The compile is vectorised: each vertex owns a segment of
+        ``2 + lines + stores`` rows, an exclusive cumsum of the segment
+        lengths gives each segment's start, and the edge-line and store
+        rows are scattered into place through ``np.repeat`` offsets —
+        no Python work per vertex or per row.
         """
         esize = self.ELEMENT_SIZE
         line = self._line
@@ -106,34 +121,41 @@ class GraphEngine:
         if trace is not None:
             return trace
         graph = self.graph
-        indptr = graph.indptr.tolist()
-        indices = graph.indices.tolist()
-        addrs: list = []
-        sizes: list = []
-        ops: list = []
-        for vertex in range(graph.num_vertices):
-            first = indptr[vertex]
-            last = indptr[vertex + 1]
-            addrs.append(indptr_base + vertex * esize)
-            sizes.append(esize)
-            ops.append(0)
-            addrs.append(state_base + vertex * esize)
-            sizes.append(esize)
-            ops.append(0)
-            if last > first:
-                edge_addr = (first * esize // line) * line
-                end = last * esize
-                while edge_addr < end:
-                    addrs.append(edges_base + edge_addr)
-                    sizes.append(line)
-                    ops.append(0)
-                    edge_addr += line
-                if target_writes:
-                    for target in indices[first:last]:
-                        addrs.append(state_base + target * esize)
-                        sizes.append(esize)
-                        ops.append(1)
-        trace = AccessTrace.from_columns(addrs, sizes, ops)
+        indptr = np.asarray(graph.indptr, dtype=np.int64)
+        degrees = np.diff(indptr)
+        first_line, line_counts = _edge_lines(indptr, esize, line)
+        seg_lengths = 2 + line_counts
+        if target_writes:
+            seg_lengths = seg_lengths + degrees
+        seg_starts = np.zeros(graph.num_vertices, dtype=np.int64)
+        np.cumsum(seg_lengths[:-1], out=seg_starts[1:])
+        vertex_offsets = np.arange(graph.num_vertices, dtype=np.int64) * esize
+
+        rows = np.zeros(int(seg_lengths.sum()), dtype=TRACE_DTYPE)
+        addr = rows["addr"]
+        rows["size"] = esize
+        addr[seg_starts] = indptr_base + vertex_offsets
+        addr[seg_starts + 1] = state_base + vertex_offsets
+        # Edge lines: the k-th line of a vertex sits at its segment start
+        # + 2 + k and reads line first_line + k; ``np.repeat`` spreads the
+        # per-vertex bases so one arange supplies every k at once.
+        total_lines = int(line_counts.sum())
+        line_starts = np.zeros(graph.num_vertices, dtype=np.int64)
+        np.cumsum(line_counts[:-1], out=line_starts[1:])
+        ordinal = np.arange(total_lines, dtype=np.int64)
+        line_pos = np.repeat(seg_starts + 2 - line_starts, line_counts) + ordinal
+        addr[line_pos] = (
+            edges_base + (np.repeat(first_line - line_starts, line_counts) + ordinal) * line
+        )
+        rows["size"][line_pos] = line
+        if target_writes:
+            # Stores follow the vertex's edge lines, in edge order.
+            store_pos = np.repeat(
+                seg_starts + 2 + line_counts - indptr[:-1], degrees
+            ) + np.arange(graph.num_edges, dtype=np.int64)
+            addr[store_pos] = state_base + np.asarray(graph.indices, dtype=np.int64) * esize
+            rows["op"][store_pos] = OP_STORE
+        trace = AccessTrace(rows).validate()
         cache[key] = trace
         return trace
 

@@ -103,7 +103,15 @@ def _replay_scalar(system: Any, rows: np.ndarray, latencies: np.ndarray) -> None
 
 
 def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
-    """Fused interpreter; returns the number of fast-path rows."""
+    """Fused interpreter; returns the number of fast-path rows.
+
+    A fused row makes no Python call beyond the PTE peek and the TLB and
+    DRAM LRU moves the simulated state needs: its latency is written in
+    place into a chunk list allocated up front, and its stat tally is one
+    of four local ints (load or store, with or without a walk) folded
+    into the per-latency flush in the ``finally``.  Delegated rows keep
+    per-source ``{latency: count}`` dict tallies.
+    """
     from repro.core.hierarchy import FlatFlash
     from repro.host.page_table import Domain
 
@@ -123,6 +131,8 @@ def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
     page_table = system.page_table
     entries_get = page_table._entries.get
     walk_ns = page_table.walk_cost_ns
+    load_walk_ns = walk_ns + load_ns
+    store_walk_ns = walk_ns + store_ns
 
     dram = system.dram
     frames = dram.frames
@@ -148,7 +158,13 @@ def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
     stores_tally = 0
     tlb_hits = 0
     tlb_misses = 0
-    # Per-source {latency: count}; "dram" is hot enough to special-case.
+    # Fused DRAM rows by latency: load or store, with or without a walk.
+    # Delegated rows keep per-source {latency: count}; "dram" is hot
+    # enough to special-case.
+    fused_loads = 0
+    fused_stores = 0
+    fused_walk_loads = 0
+    fused_walk_stores = 0
     dram_tally: Dict[int, int] = {}
     other_tallies: Dict[str, Dict[int, int]] = {}
     by_source_dram = by_source_cache.get("dram")
@@ -172,8 +188,7 @@ def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
             check_crossing = bool(crossing_col.any())
             crossing_list = crossing_col.tolist() if check_crossing else None
             store_list = (chunk["op"] == OP_STORE).tolist()
-            lat_list = []
-            lat_append = lat_list.append
+            lat_list = [0] * len(size_list)
 
             for i in range(len(size_list)):
                 size = size_list[i]
@@ -193,7 +208,7 @@ def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
                         )
                     finally:
                         now = clk._now
-                    lat_append(result.latency_ns)
+                    lat_list[i] = result.latency_ns
                     continue
 
                 vpn = vpn_list[i]
@@ -246,13 +261,21 @@ def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
                             # store with no payload writes zeros (scalar
                             # _dram_access's data=None convention)
                             frame_data[offset : offset + size] = bytes(size)
-                        latency = walk_cost + store_ns
+                        if walk_cost:
+                            fused_walk_stores += 1
+                            latency = store_walk_ns
+                        else:
+                            fused_stores += 1
+                            latency = store_ns
+                    elif walk_cost:
+                        fused_walk_loads += 1
+                        latency = load_walk_ns
                     else:
-                        latency = walk_cost + load_ns
+                        fused_loads += 1
+                        latency = load_ns
                     fused_count += 1
                     now += latency
-                    lat_append(latency)
-                    dram_tally[latency] = dram_tally.get(latency, 0) + 1
+                    lat_list[i] = latency
                     if by_source_dram is None:
                         # Materialise mem.by_source.dram at the position
                         # the scalar loop would, keeping registry order
@@ -272,7 +295,7 @@ def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
                     now = clk._now
                 latency = walk_cost + result.latency_ns
                 now += latency
-                lat_append(latency)
+                lat_list[i] = latency
                 source = result.source
                 if source == "dram":
                     dram_tally[latency] = dram_tally.get(latency, 0) + 1
@@ -303,6 +326,14 @@ def _replay_fused(system: Any, rows: np.ndarray, latencies: np.ndarray) -> int:
         if tlb_misses:
             page_table._walks.add(tlb_misses)
         access_latency = system._access_latency
+        for value, value_count in (
+            (load_ns, fused_loads),
+            (store_ns, fused_stores),
+            (load_walk_ns, fused_walk_loads),
+            (store_walk_ns, fused_walk_stores),
+        ):
+            if value_count:
+                dram_tally[value] = dram_tally.get(value, 0) + value_count
         if dram_tally:
             for value, value_count in dram_tally.items():
                 access_latency.record_batch(value, value_count)

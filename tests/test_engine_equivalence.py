@@ -18,19 +18,23 @@ forces the whole-trace scalar fallback, which is exercised separately in
 ``test_fallback_under_instrumentation``.
 """
 
+import cProfile
 import importlib
+import pstats
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.apps.graph_analytics import GraphEngine
 from repro.apps.kvstore import KVStore, run_ycsb
 from repro.baselines import DRAMOnly, TraditionalStack, UnifiedMMap
 from repro.config import EngineConfig, small_config
 from repro.core.hierarchy import FlatFlash
 from repro.engine import AccessTrace, replay
 from repro.sim import domain_tags, sanitizers
+from repro.workloads.graphs import power_law_graph
 from repro.workloads.ycsb import YCSB_A, YCSB_B, YCSB_D
 
 # The package re-exports the replay *function* under the submodule's
@@ -56,11 +60,13 @@ def _plain_simulators():
     domain_tags.set_enabled(previous_tags)
 
 
-def build_system(kind_name, track_data=False, chunk_ops=64):
+def build_system(kind_name, track_data=False, chunk_ops=64, dram_store_ns=None):
     """A small system + one mapped region; tiny chunks exercise chunking."""
     config = small_config(
         track_data=track_data, engine=EngineConfig(enabled=True, chunk_ops=chunk_ops)
     )
+    if dram_store_ns is not None:
+        config.latency.dram_store_ns = dram_store_ns
     if kind_name == "DRAMOnly":
         config.geometry.dram_pages = REGION_PAGES + 8
     kind = SYSTEMS[kind_name]
@@ -107,9 +113,9 @@ def run_scalar(system, trace):
     return latencies
 
 
-def assert_equivalent(kind_name, trace, track_data=False, chunk_ops=64):
-    scalar_system, _ = build_system(kind_name, track_data, chunk_ops)
-    engine_system, _ = build_system(kind_name, track_data, chunk_ops)
+def assert_equivalent(kind_name, trace, track_data=False, chunk_ops=64, dram_store_ns=None):
+    scalar_system, _ = build_system(kind_name, track_data, chunk_ops, dram_store_ns)
+    engine_system, _ = build_system(kind_name, track_data, chunk_ops, dram_store_ns)
     scalar_latencies = run_scalar(scalar_system, trace)
     result = replay(engine_system, trace)
     assert result.blockers == [], "fused mode unexpectedly off"
@@ -160,12 +166,15 @@ def traces(draw, max_ops=120):
     rows=traces(),
     kind_name=st.sampled_from(sorted(SYSTEMS)),
     track_data=st.booleans(),
+    # A store dearer than a load keeps a load/store mix-up in the fused
+    # tallies visible; the default config prices both at 100 ns.
+    dram_store_ns=st.sampled_from([None, 130]),
 )
-def test_random_traces_equivalent(rows, kind_name, track_data):
+def test_random_traces_equivalent(rows, kind_name, track_data, dram_store_ns):
     addrs, sizes, ops, threads = rows
     base = build_system(kind_name)[1].addr(0)
     trace = AccessTrace.from_columns(base + addrs, sizes, ops, threads=threads)
-    assert_equivalent(kind_name, trace, track_data=track_data)
+    assert_equivalent(kind_name, trace, track_data=track_data, dram_store_ns=dram_store_ns)
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -265,6 +274,100 @@ def test_mutant_dropped_promotion_is_caught(monkeypatch):
     reference = observable_state(reference_system)
     assert mutated != reference  # the suite's state comparison catches it
     assert mutated["page_table"] != reference["page_table"]
+
+
+# --------------------------------------------------------------------- #
+# Call budget of a fused row
+# --------------------------------------------------------------------- #
+
+#: The calls a fused row may make: the PTE peek (``dict.get``), the TLB and
+#: DRAM LRU moves, and on a TLB miss the fill's capacity test and eviction.
+PTE_PEEK = "<method 'get' of 'dict' objects>"
+LRU_MOVE = "<method 'move_to_end' of 'collections.OrderedDict' objects>"
+TLB_EVICT = "<method 'popitem' of 'collections.OrderedDict' objects>"
+TLB_FULL = "<built-in method builtins.len>"
+#: Calls a replay makes outside its row loop (set-up, per chunk, flush).
+SETUP_CALLS = 16
+
+
+def test_fused_rows_make_no_bookkeeping_calls():
+    """An all-DRAM-resident replay calls nothing per row but the PTE peek
+    and the LRU moves: no latency ``append``, no tally ``dict.get``."""
+    config = small_config(engine=EngineConfig(enabled=True))
+    config.geometry.dram_pages = 64
+    config.geometry.tlb_entries = 8
+    system = DRAMOnly(config.validate())
+    region = system.mmap(48)
+    rng = np.random.default_rng(7)
+    words = rng.integers(0, 48 * page // 8, size=2_000)
+    # Load then store per word: the store hits the TLB, most loads miss.
+    trace = AccessTrace.interleaved_rw(region.addr(0) + words * 8, 8)
+    replay(system, trace)  # warm-up: every page mapped, the TLB full
+    hits_before = system.tlb._hits.hits
+    profiler = cProfile.Profile()
+    profiler.enable()
+    result = replay(system, trace)
+    profiler.disable()
+    rows = len(trace)
+    assert result.fused_ops == rows
+    hits = system.tlb._hits.hits - hits_before
+    misses = rows - hits
+    assert 0 < hits < rows
+    calls = {func[2]: stat[1] for func, stat in pstats.Stats(profiler).stats.items()}
+    assert calls.get("<method 'append' of 'list' objects>", 0) == 0
+    assert rows <= calls[PTE_PEEK] <= rows + SETUP_CALLS
+    assert calls[LRU_MOVE] == rows + hits
+    assert calls[TLB_EVICT] == misses
+    assert misses <= calls[TLB_FULL] <= misses + SETUP_CALLS
+    per_row = {PTE_PEEK, LRU_MOVE, TLB_EVICT, TLB_FULL}
+    others = {name: count for name, count in calls.items() if name not in per_row}
+    assert max(others.values()) <= SETUP_CALLS, others
+
+
+# --------------------------------------------------------------------- #
+# Graph workloads: engine on vs engine off
+# --------------------------------------------------------------------- #
+
+graph_module = importlib.import_module("repro.apps.graph_analytics")
+
+
+def run_graph(algorithm, engine, chunk_ops):
+    """One graph app on FlatFlash; its footprint is ~4x DRAM."""
+    graph = power_law_graph(800, avg_degree=6.0, seed=17)
+    config = small_config(engine=EngineConfig(enabled=engine, chunk_ops=chunk_ops))
+    config.geometry.dram_pages = 4
+    app = GraphEngine(FlatFlash(config.validate()), graph)
+    if algorithm == "pagerank":
+        values = app.pagerank(iterations=2)
+    else:
+        values = app.connected_components(max_iterations=3)
+    state = observable_state(app.system)
+    state["background_ns"] = app.system.background_ns
+    return values, state
+
+
+@pytest.mark.parametrize("chunk_ops", [1, 7, EngineConfig().chunk_ops])
+@pytest.mark.parametrize("algorithm", ["pagerank", "connected_components"])
+def test_graph_engine_matches_scalar(algorithm, chunk_ops, monkeypatch):
+    replays = []
+    real = graph_module.replay
+
+    def spying(system, trace):
+        result = real(system, trace)
+        replays.append(result)
+        return result
+
+    monkeypatch.setattr(graph_module, "replay", spying)
+    scalar_values, scalar_state = run_graph(algorithm, engine=False, chunk_ops=chunk_ops)
+    assert replays == []
+    engine_values, engine_state = run_graph(algorithm, engine=True, chunk_ops=chunk_ops)
+    assert engine_values.tobytes() == scalar_values.tobytes()
+    for key in scalar_state:
+        assert engine_state[key] == scalar_state[key], f"{algorithm} diverged on {key}"
+    assert all(result.blockers == [] for result in replays)
+    assert sum(result.fused_ops for result in replays) > 0
+    assert sum(result.delegated_ops for result in replays) > 0
+    assert engine_state["stats"]["mem.promotions"] > 0
 
 
 # --------------------------------------------------------------------- #

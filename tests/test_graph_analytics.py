@@ -1,12 +1,19 @@
 """Tests for the graph engine: results must be *correct*, not just timed."""
 
+import importlib
+
 import numpy as np
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import DRAMOnly, FlatFlash, small_config
 from repro.apps.graph_analytics import GraphEngine
+from repro.engine import AccessTrace
 from repro.workloads.graphs import CSRGraph, connected_pairs_graph, power_law_graph
+
+graph_analytics_module = importlib.import_module("repro.apps.graph_analytics")
 
 
 def to_networkx(graph: CSRGraph) -> nx.DiGraph:
@@ -156,3 +163,113 @@ class TestShardedPageRank:
             return engine.system.page_movements
 
         assert run(4) < run(None) / 5
+
+
+# --------------------------------------------------------------------- #
+# Compiled iteration trace vs the per-vertex reference generator
+# --------------------------------------------------------------------- #
+
+
+def reference_iteration_trace(engine, target_writes):
+    """The iteration stream built one vertex at a time, in the scalar
+    charging order: indptr load, own-state load, the vertex's edge cache
+    lines, then (``target_writes``) one state store per out-edge."""
+    esize = engine.ELEMENT_SIZE
+    line = engine._line
+    indptr_base = engine.indptr_region.addr(0)
+    edges_base = engine.edges_region.addr(0)
+    state_base = engine.state_region.addr(0)
+    graph = engine.graph
+    indptr = graph.indptr.tolist()
+    indices = graph.indices.tolist()
+    addrs, sizes, ops = [], [], []
+    for vertex in range(graph.num_vertices):
+        first = indptr[vertex]
+        last = indptr[vertex + 1]
+        addrs += [indptr_base + vertex * esize, state_base + vertex * esize]
+        sizes += [esize, esize]
+        ops += [0, 0]
+        if last > first:
+            edge_addr = (first * esize // line) * line
+            end = last * esize
+            while edge_addr < end:
+                addrs.append(edges_base + edge_addr)
+                sizes.append(line)
+                ops.append(0)
+                edge_addr += line
+            if target_writes:
+                for target in indices[first:last]:
+                    addrs.append(state_base + target * esize)
+                    sizes.append(esize)
+                    ops.append(1)
+    return AccessTrace.from_columns(addrs, sizes, ops)
+
+
+def graph_from_degrees(degrees, seed):
+    degrees = np.asarray(degrees, dtype=np.int64)
+    indptr = np.zeros(degrees.shape[0] + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    targets = np.random.default_rng(seed).integers(0, degrees.shape[0], size=int(indptr[-1]))
+    return CSRGraph(int(degrees.shape[0]), indptr, targets.astype(np.int64))
+
+
+def engine_with_line(graph, line):
+    config = small_config(track_data=False)
+    config.geometry.cacheline_size = line
+    return GraphEngine(FlatFlash(config.validate()), graph)
+
+
+def assert_trace_matches_reference(engine, target_writes):
+    compiled = engine._iteration_trace(target_writes=target_writes).rows
+    reference = reference_iteration_trace(engine, target_writes).rows
+    assert compiled.shape == reference.shape, "row count differs from the reference"
+    assert compiled.tobytes() == reference.tobytes(), "rows differ from the reference"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    degrees=st.lists(
+        st.one_of(st.just(0), st.integers(1, 20), st.integers(500, 700)),
+        min_size=1,
+        max_size=12,
+    ),
+    line=st.sampled_from([32, 64, 128]),
+    target_writes=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_compiled_iteration_trace_matches_reference(degrees, line, target_writes, seed):
+    """Zero-degree vertices, one-vertex graphs, edge ranges on and off
+    cache-line boundaries and edge streams crossing a page all compile to
+    the reference rows."""
+    engine = engine_with_line(graph_from_degrees(degrees, seed), line)
+    assert_trace_matches_reference(engine, target_writes)
+
+
+#: Degrees whose edge ranges start and end off every line boundary (8-byte
+#: edges: the ends fall at bytes 24 and 4_824), the long one crossing the
+#: edge region's first page, with zero-degree vertices in between.
+UNALIGNED_DEGREES = [3, 0, 600, 5, 0]
+
+
+@pytest.mark.parametrize("line", [32, 64, 128])
+@pytest.mark.parametrize("degrees", [[0], [7], UNALIGNED_DEGREES], ids=str)
+@pytest.mark.parametrize("target_writes", [True, False])
+def test_compiled_iteration_trace_edge_cases(degrees, line, target_writes):
+    engine = engine_with_line(graph_from_degrees(degrees, seed=1), line)
+    assert_trace_matches_reference(engine, target_writes)
+
+
+def test_mutant_missing_unaligned_end_line_is_caught(monkeypatch):
+    """A compiler that drops the last edge line when a range ends off a
+    line boundary must fail the reference comparison."""
+
+    def one_line_short(indptr, esize, line):
+        start = indptr[:-1] * esize
+        end = indptr[1:] * esize
+        first_line = start // line
+        return first_line, np.where(end > start, end // line - first_line, 0)
+
+    monkeypatch.setattr(graph_analytics_module, "_edge_lines", one_line_short)
+    engine = engine_with_line(graph_from_degrees(UNALIGNED_DEGREES, seed=1), 64)
+    with pytest.raises(AssertionError, match="row count differs"):
+        assert_trace_matches_reference(engine, target_writes=True)
