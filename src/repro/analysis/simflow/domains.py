@@ -8,7 +8,7 @@ simulator's ns-clock discipline cares about.
 
 Kind inference is annotation-first: ``repro/units.py`` domain types in
 a signature are ground truth, the translation registry below covers the
-sanctioned cross-layer hops (page-table walk, FTL map, cache-set hash,
+sanctioned cross-layer hops (page-table walk, FTL map, SSD-cache probes,
 BAR resolve), and identifier-name heuristics fill the gaps for
 unannotated code.
 """
@@ -276,8 +276,7 @@ REGISTRY: Tuple[Translation, ...] = (
     Translation("read", ("ftl",), (LPN,), None, "FTL read"),
     Translation("trim", ("ftl",), (LPN,), None, "FTL trim"),
     Translation("is_mapped", ("ftl",), (LPN,), None, "FTL map probe"),
-    # ssd: cache (keyed by LPN) and its set hash
-    Translation("_set_of", ("cache", "self"), (LPN,), PLAIN, "cache-set hash"),
+    # ssd: cache (keyed by LPN)
     Translation("lookup", ("cache",), (LPN,), None, "SSD-cache lookup"),
     Translation("peek", ("cache",), (LPN,), None, "SSD-cache peek"),
     Translation("insert", ("cache",), (LPN, None), None, "SSD-cache insert"),

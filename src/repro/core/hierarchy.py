@@ -261,8 +261,13 @@ class FlatFlash(MemorySystem):
             )
         else:
             mmio = self.ssd.mmio_read(ssd_page, offset, size, persist=pte.persist)
-        self._background_ns.add(self.ssd.take_background_ns())
-        stall_ns = self._start_pending_promotions()
+        # Idle maintenance costs no call: collect write-back time and start
+        # promotions only when the access left some behind.  (Spelled as
+        # expressions, not ``if`` blocks, so simcost keeps one path each.)
+        self.ssd.pending_writeback_ns and self._background_ns.add(
+            self.ssd.take_background_ns()
+        )
+        stall_ns = self._start_pending_promotions() if self.promotion.candidates else 0
         return AccessResult(mmio.latency_ns + stall_ns, "ssd", data=mmio.data)
 
     def _charge_victim_writeback(self) -> None:
@@ -322,8 +327,12 @@ class FlatFlash(MemorySystem):
                     extra_ns += retry.backoff_ns(attempt)
                 continue
             retry.note_success(lpn)
-            self._background_ns.add(self.ssd.take_background_ns())
-            stall_ns = self._start_pending_promotions()
+            self.ssd.pending_writeback_ns and self._background_ns.add(
+                self.ssd.take_background_ns()
+            )
+            stall_ns = (
+                self._start_pending_promotions() if self.promotion.candidates else 0
+            )
             return AccessResult(
                 mmio.latency_ns + extra_ns + stall_ns, "ssd", data=mmio.data
             )
@@ -363,14 +372,18 @@ class FlatFlash(MemorySystem):
                 )
                 merged = bytes(buffer)
             cost += self.ssd.write_page_block(lpn, merged)
-            self._background_ns.add(self.ssd.take_background_ns())
+            self.ssd.pending_writeback_ns and self._background_ns.add(
+                self.ssd.take_background_ns()
+            )
             return AccessResult(cost, "ssd_block")
         page, read_cost = self.ssd.read_page_block(lpn)
         cost += read_cost
         payload = None
         if page is not None:
             payload = bytes(page[offset : offset + size])
-        self._background_ns.add(self.ssd.take_background_ns())
+        self.ssd.pending_writeback_ns and self._background_ns.add(
+            self.ssd.take_background_ns()
+        )
         return AccessResult(cost, "ssd_block", data=payload)
 
     def _cacheable_hit(

@@ -98,7 +98,9 @@ class PromotionManager:
     :class:`~repro.ssd.device.PromotionSink` protocol) from inside its MMIO
     paths; promotion *candidates* are queued and drained by the hierarchy
     after the access completes, mirroring the off-critical-path promotion
-    of §3.3.
+    of §3.3.  The queue, ``candidates``, is public so the hierarchy can
+    test it at the call site and skip :meth:`take_candidates` while it is
+    empty; only :meth:`update` and :meth:`take_candidates` change it.
     """
 
     def __init__(
@@ -110,7 +112,7 @@ class PromotionManager:
         if policy is None:
             policy = AdaptivePromotionPolicy(config if config is not None else PromotionConfig())
         self.policy = policy
-        self._candidates: Deque[LPN] = deque()
+        self.candidates: Deque[LPN] = deque()
         self._queued: set = set()
         self.stats = stats if stats is not None else StatRegistry()
         self._promote_signals = self.stats.counter("promotion.signals")
@@ -118,7 +120,7 @@ class PromotionManager:
     @effects("MUTATES_STATE", "MUTATES_STATS")
     def update(self, entry: CacheEntry) -> None:
         if self.policy.update(entry) and entry.lpn not in self._queued:
-            self._candidates.append(entry.lpn)
+            self.candidates.append(entry.lpn)
             self._queued.add(entry.lpn)
             self._promote_signals.add()
 
@@ -129,8 +131,8 @@ class PromotionManager:
     @effects("MUTATES_STATE")
     def take_candidates(self) -> List[LPN]:
         """Drain queued promotion candidates (lpns), oldest first."""
-        drained = list(self._candidates)
-        self._candidates.clear()
+        drained = list(self.candidates)
+        self.candidates.clear()
         self._queued.clear()
         return drained
 

@@ -227,7 +227,8 @@ class HostBridge:
 
     def ssd_addr(self, device_page: HostPage, offset: OffsetBytes = 0) -> int:
         """Host physical address of a byte in the SSD BAR window."""
-        addr = self.ssd_bar.base + device_page * self.page_size + offset
-        if not self.ssd_bar.contains(addr):
+        bar = self.ssd_bar
+        addr = bar.base + device_page * self.page_size + offset
+        if not bar.base <= addr < bar.base + bar.size:
             raise ValueError(f"device page {device_page} outside the BAR window")
         return addr

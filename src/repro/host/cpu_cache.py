@@ -48,12 +48,6 @@ class CPUCache:
         self._writebacks = self.stats.counter("cpu_cache.writebacks")
         self._flushes = self.stats.counter("cpu_cache.flushes")
 
-    def _line_of(self, phys_addr: int) -> int:
-        return phys_addr // self.line_size
-
-    def _set_of(self, line: int) -> "OrderedDict[int, bool]":
-        return self._sets[line % self.num_sets]
-
     def access(self, phys_addr: int, is_write: bool) -> Tuple[bool, Optional[int]]:
         """Access one line; returns (hit, evicted dirty line address or None).
 
@@ -61,8 +55,8 @@ class CPUCache:
         is dirty its address is returned so the caller can charge the
         write-back to the right backing store.
         """
-        line = self._line_of(phys_addr)
-        cache_set = self._set_of(line)
+        line = phys_addr // self.line_size
+        cache_set = self._sets[line % self.num_sets]
         if line in cache_set:
             cache_set.move_to_end(line)
             if is_write:
@@ -80,17 +74,17 @@ class CPUCache:
         return False, evicted
 
     def contains(self, phys_addr: int) -> bool:
-        line = self._line_of(phys_addr)
-        return line in self._set_of(line)
+        line = phys_addr // self.line_size
+        return line in self._sets[line % self.num_sets]
 
     def is_dirty(self, phys_addr: int) -> bool:
-        line = self._line_of(phys_addr)
-        return self._set_of(line).get(line, False)
+        line = phys_addr // self.line_size
+        return self._sets[line % self.num_sets].get(line, False)
 
     def flush_line(self, phys_addr: int) -> bool:
         """clflush: evict one line; returns True if a dirty line was flushed."""
-        line = self._line_of(phys_addr)
-        cache_set = self._set_of(line)
+        line = phys_addr // self.line_size
+        cache_set = self._sets[line % self.num_sets]
         self._flushes.add()
         dirty = cache_set.pop(line, False)
         return dirty

@@ -100,7 +100,7 @@ class BarWindow:
 
     @kernel
     def contains(self, phys_addr: int) -> bool:
-        return self.base <= phys_addr < self.end
+        return self.base <= phys_addr < self.base + self.size
 
     @kernel(may_raise=("ValueError",))
     def offset_of(self, phys_addr: int) -> int:
@@ -201,15 +201,12 @@ class PCIeLink:
             self._corruptions.add()
             raise PCIeFaultError(f"pcie.{op}", "corrupt", line_cost_ns)
 
-    def _cachelines(self, size: int) -> int:
-        if size <= 0:
-            raise ValueError(f"transfer size must be > 0, got {size}")
-        return -(-size // self.cacheline_size)  # ceiling division
-
     @effects("MUTATES_STATE", "MUTATES_STATS", "FAULT_HOOK")
     def mmio_read_cost(self, size: int) -> TimeNs:
         """Cost of a non-posted MMIO read of ``size`` bytes."""
-        lines = self._cachelines(size)
+        if size <= 0:
+            raise ValueError(f"transfer size must be > 0, got {size}")
+        lines = -(-size // self.cacheline_size)  # ceiling division
         self._reads.add(lines)
         self._bytes_from_device.add(size)
         if self.faults is not None or self._down:
@@ -221,7 +218,9 @@ class PCIeLink:
     @effects("MUTATES_STATE", "MUTATES_STATS", "FAULT_HOOK")
     def mmio_write_cost(self, size: int) -> TimeNs:
         """Cost of a posted MMIO write of ``size`` bytes."""
-        lines = self._cachelines(size)
+        if size <= 0:
+            raise ValueError(f"transfer size must be > 0, got {size}")
+        lines = -(-size // self.cacheline_size)  # ceiling division
         self._writes.add(lines)
         self._bytes_to_device.add(size)
         if self.faults is not None or self._down:
@@ -233,7 +232,9 @@ class PCIeLink:
     @effects("MUTATES_STATE", "MUTATES_STATS", "FAULT_HOOK")
     def mmio_atomic_cost(self, size: int) -> TimeNs:
         """Cost of a PCIe atomic (round trip: behaves like a read)."""
-        lines = self._cachelines(size)
+        if size <= 0:
+            raise ValueError(f"transfer size must be > 0, got {size}")
+        lines = -(-size // self.cacheline_size)  # ceiling division
         self._atomics.add(1)
         self._bytes_to_device.add(size)
         self._bytes_from_device.add(size)
@@ -259,7 +260,9 @@ class PCIeLink:
         """Cost of a device-initiated DMA into host DRAM (page promotion)."""
         if self._down:
             self._check_link("pcie.dma_to_host")
-        pages = self._cachelines(size) * self.cacheline_size
+        if size <= 0:
+            raise ValueError(f"transfer size must be > 0, got {size}")
+        pages = -(-size // self.cacheline_size) * self.cacheline_size
         self._dma_ops.add(1)
         self._bytes_from_device.add(size)
         # DMA cost scales with page-sized chunks of the transfer.

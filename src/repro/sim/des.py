@@ -272,15 +272,16 @@ class Simulator:
             self._sanitizer.on_finished(pid)
 
     def _step_process(self, pid: int) -> None:
-        """Advance one process until it blocks, delays, or finishes."""
+        """Advance one process until it blocks, delays, or finishes, with
+        the attached recorder's context set to it (only called with a
+        recorder attached; :meth:`run` calls :meth:`_run_slice` directly
+        otherwise)."""
         state = self._procs[pid]
-        if self._recorder is not None:
-            self._sync_recorder(state)
+        self._sync_recorder(state)
         try:
             self._run_slice(state)
         finally:
-            if self._recorder is not None:
-                self._recorder.set_context(None, frozenset())
+            self._recorder.set_context(None, frozenset())
 
     def _run_slice(self, state: _ProcState) -> None:
         pid = state.pid
@@ -298,7 +299,17 @@ class Simulator:
                 self._cleanup_after_error(pid)
                 raise
             if isinstance(command, Delay):
-                self._schedule(self.now + command.ns, pid)
+                # _schedule's body, inlined: one wake-up per Delay.
+                heapq.heappush(
+                    self._heap,
+                    (
+                        self.now + command.ns,
+                        0 if self._rng is None else self._rng.getrandbits(32),
+                        self._seq,
+                        pid,
+                    ),
+                )
+                self._seq += 1
                 return
             if isinstance(command, Acquire):
                 lock = command.lock
@@ -354,7 +365,8 @@ class Simulator:
         """
         from repro.sim import race
 
-        previous = race.install(self._recorder) if self._recorder is not None else None
+        recording = self._recorder is not None
+        previous = race.install(self._recorder) if recording else None
         try:
             while self._heap:
                 time_ns, _tie, _seq, pid = heapq.heappop(self._heap)
@@ -363,9 +375,14 @@ class Simulator:
                 if time_ns < self.now:
                     raise RuntimeError("event scheduled in the past")
                 self.now = time_ns
-                self._step_process(pid)
+                if recording:
+                    self._step_process(pid)
+                else:
+                    # No recorder context to keep current: run the slice
+                    # without _step_process's wrapper.
+                    self._run_slice(self._procs[pid])
         finally:
-            if self._recorder is not None:
+            if recording:
                 race.install(previous)
         if self._blocked:
             blocked = sorted(self._blocked)

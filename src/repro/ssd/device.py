@@ -160,7 +160,10 @@ class ByteAddressableSSD:
 
         self.promotion_manager: Optional[PromotionSink] = None
         self.cache.add_evict_hook(self._on_cache_evict)
-        self._pending_writeback_ns = 0
+        #: Dirty-eviction write-back time not yet collected by
+        #: :meth:`take_background_ns`; callers skip the collection while
+        #: it is zero.
+        self.pending_writeback_ns = 0
 
         self._mmio_reads = self.stats.counter("ssd.mmio_reads")
         self._mmio_writes = self.stats.counter("ssd.mmio_writes")
@@ -230,7 +233,7 @@ class ByteAddressableSSD:
         if entry.dirty:
             # Dirty victim: destage through the FTL.  Charged to background
             # time (the paper's GC handles write-back off the access path).
-            self._pending_writeback_ns += self.gc.flush_entry(entry)
+            self.pending_writeback_ns += self.gc.flush_entry(entry)
 
     def resolve_lpn(self, host_page: HostPage) -> LPN:
         """Translate a host-visible device page number to its lpn.
@@ -249,10 +252,10 @@ class ByteAddressableSSD:
             # table lives entirely in ppn space).
             ppn = PPN(host_page)
             ppn = self._remap.get(ppn, ppn)
-            lpn = self.ftl.lpn_of(ppn)
+            lpn = self.ftl.reverse.get(ppn)
             if lpn is None:
                 raise KeyError(f"host page {host_page} maps to no live flash page")
-            return lpn
+            return LPN(lpn)
         if not 0 <= host_page < self.ftl.exported_pages:
             raise ValueError(f"logical page {host_page} out of range")
         return LPN(host_page)
@@ -287,8 +290,8 @@ class ByteAddressableSSD:
 
     def take_background_ns(self) -> int:
         """Collect write-back time accrued since the last call."""
-        spent = self._pending_writeback_ns
-        self._pending_writeback_ns = 0
+        spent = self.pending_writeback_ns
+        self.pending_writeback_ns = 0
         return spent
 
     # ------------------------------------------------------------------ #
@@ -307,18 +310,16 @@ class ByteAddressableSSD:
         self._fills.add()
         return entry, cost, False
 
-    def _check_span(self, offset: OffsetBytes, size: int) -> None:
-        if offset < 0 or size <= 0 or offset + size > self.config.geometry.page_size:
-            raise ValueError(
-                f"MMIO span [{offset}, {offset + size}) outside one "
-                f"{self.config.geometry.page_size}-byte page"
-            )
-
     def mmio_read(
         self, host_page: HostPage, offset: OffsetBytes, size: int, persist: bool = False
     ) -> MMIOResult:
         """Serve a memory read of ``size`` bytes via PCIe MMIO (§3.2)."""
-        self._check_span(offset, size)
+        page_size = self.config.geometry.page_size
+        if offset < 0 or size <= 0 or offset + size > page_size:
+            raise ValueError(
+                f"MMIO span [{offset}, {offset + size}) outside one "
+                f"{page_size}-byte page"
+            )
         lpn = self.resolve_lpn(host_page)
         self._mmio_reads.add()
         entry, fill_cost, hit = self._ensure_cached(lpn)
@@ -344,7 +345,12 @@ class ByteAddressableSSD:
         field, §3.5) the page is excluded from promotion accounting, and the
         write is durable once in the battery-backed SSD-Cache.
         """
-        self._check_span(offset, size)
+        page_size = self.config.geometry.page_size
+        if offset < 0 or size <= 0 or offset + size > page_size:
+            raise ValueError(
+                f"MMIO span [{offset}, {offset + size}) outside one "
+                f"{page_size}-byte page"
+            )
         if data is not None and len(data) != size:
             raise ValueError(f"data length {len(data)} != size {size}")
         lpn = self.resolve_lpn(host_page)

@@ -43,11 +43,13 @@ _SHADOW_CODE = {
 class FlashBlock:
     """One erase block: page states, an erase counter and a bad-block flag.
 
-    Per-state page counts are cached and maintained incrementally — GC
-    victim selection scans every block's counts per run, so recomputing
-    them from ``states`` would be quadratic in device size.  All state
-    transitions must go through :meth:`set_state` (or the whole-block
-    resets below) to keep the counts in sync.
+    ``erased_pages``, ``invalid_pages`` and ``valid_pages`` are plain
+    attributes maintained incrementally — GC victim selection reads every
+    block's counts per run, so recomputing them from ``states`` would be
+    quadratic in device size, and a property would cost a call per read.
+    Only :meth:`set_state`, :meth:`reset_erased` and :meth:`recount` may
+    write them; every page-state transition goes through those to keep
+    the counts equal to ``states``.
     """
 
     __slots__ = (
@@ -56,9 +58,9 @@ class FlashBlock:
         "states",
         "erase_count",
         "bad",
-        "_erased",
-        "_invalid",
-        "_valid",
+        "erased_pages",
+        "invalid_pages",
+        "valid_pages",
     )
 
     def __init__(self, index: int, pages_per_block: int) -> None:
@@ -69,9 +71,9 @@ class FlashBlock:
         # Retired: an erase failed here, or the wear limit was reached.  Bad
         # blocks never rejoin the free rotation and are skipped by GC.
         self.bad = False
-        self._erased = pages_per_block
-        self._invalid = 0
-        self._valid = 0
+        self.erased_pages = pages_per_block
+        self.invalid_pages = 0
+        self.valid_pages = 0
 
     def set_state(self, offset: int, state: FlashPageState) -> None:
         """Transition one page's state, keeping the cached counts exact."""
@@ -80,41 +82,29 @@ class FlashBlock:
             return
         self.states[offset] = state
         if old is FlashPageState.ERASED:
-            self._erased -= 1
+            self.erased_pages -= 1
         elif old is FlashPageState.PROGRAMMED:
-            self._valid -= 1
+            self.valid_pages -= 1
         else:
-            self._invalid -= 1
+            self.invalid_pages -= 1
         if state is FlashPageState.ERASED:
-            self._erased += 1
+            self.erased_pages += 1
         elif state is FlashPageState.PROGRAMMED:
-            self._valid += 1
+            self.valid_pages += 1
         else:
-            self._invalid += 1
+            self.invalid_pages += 1
 
     def reset_erased(self) -> None:
         """Whole-block erase: every page is ERASED again."""
-        self._erased = self.pages_per_block
-        self._invalid = 0
-        self._valid = 0
+        self.erased_pages = self.pages_per_block
+        self.invalid_pages = 0
+        self.valid_pages = 0
 
     def recount(self) -> None:
         """Rebuild the cached counts from ``states`` (image restore)."""
-        self._erased = sum(1 for s in self.states if s is FlashPageState.ERASED)
-        self._invalid = sum(1 for s in self.states if s is FlashPageState.INVALID)
-        self._valid = len(self.states) - self._erased - self._invalid
-
-    @property
-    def erased_pages(self) -> int:
-        return self._erased
-
-    @property
-    def invalid_pages(self) -> int:
-        return self._invalid
-
-    @property
-    def valid_pages(self) -> int:
-        return self._valid
+        self.erased_pages = sum(1 for s in self.states if s is FlashPageState.ERASED)
+        self.invalid_pages = sum(1 for s in self.states if s is FlashPageState.INVALID)
+        self.valid_pages = len(self.states) - self.erased_pages - self.invalid_pages
 
 
 class FlashArray:
@@ -164,24 +154,19 @@ class FlashArray:
         self._erase_fails = self.stats.counter("flash.erase_fails")
         self._wear_retired = self.stats.counter("flash.wear_retired_blocks")
 
-    def _check_ppn(self, ppn: PPN) -> None:
-        domain_tags._ENABLED and domain_tags.check(ppn, "PPN", "FlashArray")
-        if not 0 <= ppn < self.total_pages:
-            raise ValueError(f"ppn {ppn} out of range [0, {self.total_pages})")
-
-    def block_of(self, ppn: PPN) -> FlashBlock:
-        self._check_ppn(ppn)
-        return self.blocks[ppn // self.pages_per_block]
-
     def channel_of(self, ppn: PPN) -> int:
         """The channel a page's operations occupy (blocks stripe across
         channels, the common SSD layout)."""
-        self._check_ppn(ppn)
+        domain_tags._ENABLED and domain_tags.check(ppn, "PPN", "FlashArray")
+        if not 0 <= ppn < self.total_pages:
+            raise ValueError(f"ppn {ppn} out of range [0, {self.total_pages})")
         return (ppn // self.pages_per_block) % self.num_channels
 
     def state_of(self, ppn: PPN) -> FlashPageState:
-        block = self.block_of(ppn)
-        return block.states[ppn % self.pages_per_block]
+        domain_tags._ENABLED and domain_tags.check(ppn, "PPN", "FlashArray")
+        if not 0 <= ppn < self.total_pages:
+            raise ValueError(f"ppn {ppn} out of range [0, {self.total_pages})")
+        return self.blocks[ppn // self.pages_per_block].states[ppn % self.pages_per_block]
 
     def read(self, ppn: PPN) -> "FlashOp":
         """Read one page.  Reading erased/invalid pages is allowed (the FTL
@@ -193,7 +178,9 @@ class FlashArray:
         to soft-decode recovery); callers that ignore ``failed`` see the
         correct bytes, modelling ECC that eventually always corrects.
         """
-        self._check_ppn(ppn)
+        domain_tags._ENABLED and domain_tags.check(ppn, "PPN", "FlashArray")
+        if not 0 <= ppn < self.total_pages:
+            raise ValueError(f"ppn {ppn} out of range [0, {self.total_pages})")
         self._reads.add()
         data = None
         if self.track_data:
@@ -206,7 +193,10 @@ class FlashArray:
     def program(self, ppn: PPN, data: Optional[bytes] = None) -> "FlashOp":
         """Program one erased page.  Programming a non-erased page is a bug
         in the FTL and raises."""
-        block = self.block_of(ppn)
+        domain_tags._ENABLED and domain_tags.check(ppn, "PPN", "FlashArray")
+        if not 0 <= ppn < self.total_pages:
+            raise ValueError(f"ppn {ppn} out of range [0, {self.total_pages})")
+        block = self.blocks[ppn // self.pages_per_block]
         offset = ppn % self.pages_per_block
         if self.sanitizer is not None:
             self.sanitizer.on_program(ppn)
@@ -234,7 +224,10 @@ class FlashArray:
 
     def invalidate(self, ppn: PPN) -> None:
         """Mark a programmed page invalid (out-of-place overwrite)."""
-        block = self.block_of(ppn)
+        domain_tags._ENABLED and domain_tags.check(ppn, "PPN", "FlashArray")
+        if not 0 <= ppn < self.total_pages:
+            raise ValueError(f"ppn {ppn} out of range [0, {self.total_pages})")
+        block = self.blocks[ppn // self.pages_per_block]
         offset = ppn % self.pages_per_block
         if self.sanitizer is not None:
             self.sanitizer.on_invalidate(ppn)

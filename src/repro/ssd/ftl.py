@@ -105,20 +105,19 @@ class PageFTL:
     # Mapping queries
     # ------------------------------------------------------------------ #
 
-    def _check_lpn(self, lpn: LPN) -> None:
+    @kernel(may_raise=("ValueError", "DomainTagError"))
+    def is_mapped(self, lpn: LPN) -> bool:
         domain_tags._ENABLED and domain_tags.check(lpn, "LPN", "PageFTL")
         if not 0 <= lpn < self.exported_pages:
             raise ValueError(f"lpn {lpn} out of range [0, {self.exported_pages})")
-
-    @kernel(may_raise=("ValueError", "DomainTagError"))
-    def is_mapped(self, lpn: LPN) -> bool:
-        self._check_lpn(lpn)
         return lpn in self.mapping
 
     @kernel(may_raise=("KeyError", "ValueError", "DomainTagError"))
     def lookup(self, lpn: LPN) -> PPN:
         """Current ppn for a mapped lpn."""
-        self._check_lpn(lpn)
+        domain_tags._ENABLED and domain_tags.check(lpn, "LPN", "PageFTL")
+        if not 0 <= lpn < self.exported_pages:
+            raise ValueError(f"lpn {lpn} out of range [0, {self.exported_pages})")
         try:
             return PPN(self.mapping[lpn])
         except KeyError:
@@ -178,7 +177,9 @@ class PageFTL:
         real programmed page (reads need stable physical addresses in the
         host-merged mode).
         """
-        self._check_lpn(lpn)
+        domain_tags._ENABLED and domain_tags.check(lpn, "LPN", "PageFTL")
+        if not 0 <= lpn < self.exported_pages:
+            raise ValueError(f"lpn {lpn} out of range [0, {self.exported_pages})")
         existing = self.mapping.get(lpn)
         if existing is not None:
             return existing, 0
@@ -218,7 +219,9 @@ class PageFTL:
     @effects("MUTATES_STATE", "MUTATES_STATS", "PERSISTS", "FAULT_HOOK")
     def write(self, lpn: LPN, data: Optional[bytes] = None) -> Tuple[PPN, TimeNs]:
         """Out-of-place write of a logical page: returns (new_ppn, cost_ns)."""
-        self._check_lpn(lpn)
+        domain_tags._ENABLED and domain_tags.check(lpn, "LPN", "PageFTL")
+        if not 0 <= lpn < self.exported_pages:
+            raise ValueError(f"lpn {lpn} out of range [0, {self.exported_pages})")
         return self._program_new(lpn, data, gc_write=False)
 
     def _program_new(
@@ -264,7 +267,9 @@ class PageFTL:
         free page to reclaim without relocation — the mechanism that keeps
         write amplification down after deletions.
         """
-        self._check_lpn(lpn)
+        domain_tags._ENABLED and domain_tags.check(lpn, "LPN", "PageFTL")
+        if not 0 <= lpn < self.exported_pages:
+            raise ValueError(f"lpn {lpn} out of range [0, {self.exported_pages})")
         ppn = self.mapping.pop(lpn, None)
         if ppn is None:
             return

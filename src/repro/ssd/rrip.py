@@ -36,12 +36,14 @@ class RRIPSet:
 
     def on_hit(self, way: int) -> None:
         """Hit promotion: predict near-immediate re-reference."""
-        self._check_way(way)
+        if not 0 <= way < self.num_ways:
+            raise ValueError(f"way {way} out of range [0, {self.num_ways})")
         self._rrpv[way] = 0
 
     def on_insert(self, way: int) -> None:
         """Insertion: predict a long (but not distant) re-reference."""
-        self._check_way(way)
+        if not 0 <= way < self.num_ways:
+            raise ValueError(f"way {way} out of range [0, {self.num_ways})")
         self._rrpv[way] = self.max_rrpv - 1
 
     def select_victim(self, occupied: List[bool]) -> int:
@@ -67,9 +69,6 @@ class RRIPSet:
 
     def reset_way(self, way: int) -> None:
         """Mark a way empty (its entry was invalidated)."""
-        self._check_way(way)
-        self._rrpv[way] = self.max_rrpv
-
-    def _check_way(self, way: int) -> None:
         if not 0 <= way < self.num_ways:
             raise ValueError(f"way {way} out of range [0, {self.num_ways})")
+        self._rrpv[way] = self.max_rrpv

@@ -110,7 +110,7 @@ class SSDCache:
             self._policies = [RRIPSet(ways) for _ in range(self.num_sets)]
         else:
             self._policies = [LRUSet(ways) for _ in range(self.num_sets)]
-        self._where: Dict[LPN, int] = {}  # lpn -> set*ways + way
+        self._where: Dict[LPN, Tuple[int, int]] = {}  # lpn -> (set, way)
         self._evict_hooks: List[EvictHook] = []
         self.stats = stats if stats is not None else StatRegistry()
         self._hit_ratio = self.stats.ratio("ssd_cache.hits")
@@ -129,9 +129,6 @@ class SSDCache:
         """Called with the entry about to be evicted (ADJUST_CNT, Alg. 1)."""
         self._evict_hooks.append(hook)
 
-    def _set_of(self, lpn: LPN) -> int:
-        return lpn % self.num_sets
-
     @kernel
     def contains(self, lpn: LPN) -> bool:
         return lpn in self._where
@@ -145,16 +142,21 @@ class SSDCache:
             if record:
                 self._hit_ratio.record(False)
             return None
-        set_index, way = divmod(slot, self.ways)
+        set_index, way = slot
         if record:
             self._hit_ratio.record(True)
             self._policies[set_index].on_hit(way)
         return self._entries[set_index][way]
 
-    @kernel(may_raise=("DomainTagError", "ValueError"))
+    @kernel(may_raise=("DomainTagError",))
     def peek(self, lpn: LPN) -> Optional[CacheEntry]:
         """Find a cached page without touching replacement or hit stats."""
-        return self.lookup(lpn, record=False)
+        domain_tags._ENABLED and domain_tags.check(lpn, "LPN", "SSDCache.peek")
+        slot = self._where.get(lpn)
+        if slot is None:
+            return None
+        set_index, way = slot
+        return self._entries[set_index][way]
 
     @batchable
     @reduction(var="hits", op="+")
@@ -186,9 +188,9 @@ class SSDCache:
         promotion manager can retire its counters) and, when dirty, must be
         written back by the caller (the device charges the flash program).
         """
-        if self.contains(lpn):
+        if lpn in self._where:
             raise ValueError(f"lpn {lpn} is already cached; use lookup/write")
-        set_index = self._set_of(lpn)
+        set_index = lpn % self.num_sets
         policy = self._policies[set_index]
         row = self._entries[set_index]
         occupied = [entry is not None for entry in row]
@@ -210,7 +212,7 @@ class SSDCache:
             payload = bytearray(data) if data is not None else bytearray(self.page_size)
         entry = CacheEntry(lpn, payload, dirty)
         row[way] = entry
-        self._where[lpn] = set_index * self.ways + way
+        self._where[lpn] = (set_index, way)
         policy.on_insert(way)
         return victim
 
@@ -219,7 +221,7 @@ class SSDCache:
         slot = self._where.pop(lpn, None)
         if slot is None:
             return None
-        set_index, way = divmod(slot, self.ways)
+        set_index, way = slot
         entry = self._entries[set_index][way]
         self._entries[set_index][way] = None
         self._policies[set_index].reset_way(way)

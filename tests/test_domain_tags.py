@@ -206,38 +206,56 @@ def _device():
     return ByteAddressableSSD(small_config())
 
 
+def _site(domain, context, misuse, method=None):
+    """One guarded site; ``method`` tells apart sites sharing a context."""
+    suffix = "" if method is None else f"-{method}"
+    return pytest.param(domain, context, misuse, id=f"{context}-{domain}{suffix}")
+
+
 #: Every guarded ``domain_tags.check`` site: (expected domain, context,
 #: a call that hands the site a value from the wrong domain).  The sites
-#: test the tagging switch themselves, so each must still fire when on.
+#: test the tagging switch themselves, so each must still fire when on —
+#: including the checks inlined where a helper used to run them
+#: (FlashArray read/program/invalidate/channel_of/state_of, PageFTL
+#: is_mapped/lookup/write/map_page/trim, SSDCache.peek).
 GUARDED_SITES = [
-    ("LPN", "SSDCache.lookup", lambda: _device().cache.lookup(PPN(0))),
-    ("PPN", "FlashArray", lambda: _device().flash.read(LPN(0))),
-    ("BLOCK", "FlashArray.erase", lambda: _device().flash.erase(PPN(0))),
-    ("LPN", "PageFTL", lambda: _device().ftl.is_mapped(VPN(0))),
-    ("PPN", "PageFTL.lpn_of", lambda: _device().ftl.lpn_of(LPN(0))),
-    (
+    _site("LPN", "SSDCache.lookup", lambda: _device().cache.lookup(PPN(0))),
+    _site("LPN", "SSDCache.peek", lambda: _device().cache.peek(PPN(0))),
+    _site("PPN", "FlashArray", lambda: _device().flash.read(LPN(0))),
+    _site("PPN", "FlashArray", lambda: _device().flash.program(LPN(0)), "program"),
+    _site(
+        "PPN", "FlashArray", lambda: _device().flash.invalidate(LPN(0)), "invalidate"
+    ),
+    _site(
+        "PPN", "FlashArray", lambda: _device().flash.channel_of(LPN(0)), "channel_of"
+    ),
+    _site("PPN", "FlashArray", lambda: _device().flash.state_of(LPN(0)), "state_of"),
+    _site("BLOCK", "FlashArray.erase", lambda: _device().flash.erase(PPN(0))),
+    _site("LPN", "PageFTL", lambda: _device().ftl.is_mapped(VPN(0))),
+    _site("LPN", "PageFTL", lambda: _device().ftl.lookup(VPN(0)), "lookup"),
+    _site("LPN", "PageFTL", lambda: _device().ftl.write(VPN(0)), "write"),
+    _site("LPN", "PageFTL", lambda: _device().ftl.map_page(VPN(0)), "map_page"),
+    _site("LPN", "PageFTL", lambda: _device().ftl.trim(VPN(0)), "trim"),
+    _site("PPN", "PageFTL.lpn_of", lambda: _device().ftl.lpn_of(LPN(0))),
+    _site(
         "HOST_PAGE",
         "ByteAddressableSSD.resolve_lpn",
         lambda: _device().resolve_lpn(LPN(0)),
     ),
-    (
+    _site(
         "LPN",
         "ByteAddressableSSD.host_page_of",
         lambda: _device().host_page_of(HostPage(0)),
     ),
-    ("VPN", "PageTable.entry", lambda: PageTable(100).entry(LPN(0))),
-    ("VPN", "PageTable.walk", lambda: PageTable(100).walk(PFN(0))),
-    ("VPN", "TLB.fill", lambda: TLB(4, 100).fill(PPN(0))),
-    ("HOST_PAGE", "PLB.start", lambda: PLB(4).start(PFN(0), PFN(1), 64, 0)),
-    ("PFN", "PLB.start", lambda: PLB(4).start(HostPage(0), HostPage(1), 64, 0)),
+    _site("VPN", "PageTable.entry", lambda: PageTable(100).entry(LPN(0))),
+    _site("VPN", "PageTable.walk", lambda: PageTable(100).walk(PFN(0))),
+    _site("VPN", "TLB.fill", lambda: TLB(4, 100).fill(PPN(0))),
+    _site("HOST_PAGE", "PLB.start", lambda: PLB(4).start(PFN(0), PFN(1), 64, 0)),
+    _site("PFN", "PLB.start", lambda: PLB(4).start(HostPage(0), HostPage(1), 64, 0)),
 ]
 
 
-@pytest.mark.parametrize(
-    "domain, context, misuse",
-    GUARDED_SITES,
-    ids=[f"{context}-{domain}" for domain, context, _ in GUARDED_SITES],
-)
+@pytest.mark.parametrize("domain, context, misuse", GUARDED_SITES)
 def test_misuse_raises_at_every_guarded_site(domain, context, misuse):
     assert domain_tags.enabled()
     expected = f"expected a {domain} value in {context} but"

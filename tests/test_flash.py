@@ -1,18 +1,21 @@
 """Tests for the NAND flash array model."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import LatencyConfig
+from repro.faults.plan import FaultConfig, FaultInjector
 from repro.ssd.flash import FlashArray, FlashPageState
 
 
-def make_flash(blocks=4, pages=8, page_size=256, track_data=True):
+def make_flash(blocks=4, pages=8, page_size=256, track_data=True, faults=None):
     return FlashArray(
         num_blocks=blocks,
         pages_per_block=pages,
         page_size=page_size,
         latency=LatencyConfig(),
         track_data=track_data,
+        faults=faults,
     )
 
 
@@ -152,3 +155,55 @@ def test_no_data_tracking_mode():
     flash = make_flash(track_data=False)
     flash.program(0, None)
     assert flash.read(0).data is None
+
+
+def _recounted(block):
+    """(erased, invalid, valid) counted from the block's page states."""
+    return (
+        sum(1 for state in block.states if state is FlashPageState.ERASED),
+        sum(1 for state in block.states if state is FlashPageState.INVALID),
+        sum(1 for state in block.states if state is FlashPageState.PROGRAMMED),
+    )
+
+
+def _counts(flash):
+    return [
+        (block.erased_pages, block.invalid_pages, block.valid_pages)
+        for block in flash.blocks
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    steps=st.lists(
+        st.tuples(st.sampled_from(["program", "invalidate", "erase"]), st.integers(0, 31)),
+        max_size=80,
+    ),
+)
+def test_block_counts_track_states_under_faults(seed, steps):
+    """The plain per-block page counts always equal the counts recomputed
+    from ``states`` — through programs, invalidations, erases, injected
+    program failures (page burned to INVALID) and erase failures (block
+    retired) — and survive a snapshot/restore."""
+    faults = FaultInjector(
+        FaultConfig(seed=seed, nand_program_fail_rate=0.2, nand_erase_fail_rate=0.15)
+    )
+    flash = make_flash(blocks=4, pages=8, faults=faults)
+    for op, ppn in steps:
+        block = flash.blocks[ppn // flash.pages_per_block]
+        state = block.states[ppn % flash.pages_per_block]
+        if op == "program" and state is FlashPageState.ERASED:
+            flash.program(ppn, bytes([ppn]) * 256)
+        elif op == "invalidate" and state is FlashPageState.PROGRAMMED:
+            flash.invalidate(ppn)
+        elif op == "erase" and not block.bad:
+            first = block.index * flash.pages_per_block
+            for offset, page_state in enumerate(block.states):
+                if page_state is FlashPageState.PROGRAMMED:
+                    flash.invalidate(first + offset)
+            flash.erase(block.index)
+        assert _counts(flash) == [_recounted(block) for block in flash.blocks]
+        restored = make_flash(blocks=4, pages=8)
+        restored.restore_state(flash.snapshot_state())
+        assert _counts(restored) == _counts(flash)
