@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test lint flow effects costs batch race faults bench calls experiments sweep examples all clean
+.PHONY: install test lint flow effects costs batch oracles race faults bench calls experiments sweep examples all clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -9,18 +9,13 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # simlint, simrace, simflow, simeffect, simcost and simbatch are in-tree
-# and always run; ruff runs when installed (CI installs it via the dev
-# extras, bare environments may not).
+# and always run, in one process: the umbrella with its stale-suppression
+# audit plus the SC007 and SB007 audits share one parse and one Program.
+# ruff runs when installed (CI installs it via the dev extras, bare
+# environments may not).
 lint:
-	$(PYTHON) -m repro.analysis.simlint src/
-	$(PYTHON) -m repro.analysis.simrace src/
-	$(PYTHON) -m repro.analysis.simflow src/
-	$(PYTHON) -m repro.analysis.simeffect src/
-	$(PYTHON) -m repro.analysis.simcost src/
-	$(PYTHON) -m repro.analysis.simcost --check-config src/
-	$(PYTHON) -m repro.analysis.simbatch src/
-	$(PYTHON) -m repro.analysis.simbatch --check-opportunities src/
-	$(PYTHON) -m repro.analysis.analyze --check-suppressions src/
+	$(PYTHON) -m repro.analysis "analyze --check-suppressions src/" \
+		"simcost --check-config src/" "simbatch --check-opportunities src/"
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
 		$(PYTHON) -m ruff check src/ tests/ benchmarks/ examples/; \
 	else \
@@ -31,18 +26,18 @@ lint:
 flow:
 	$(PYTHON) -m repro.analysis.simflow src/
 
-# Interprocedural effect analysis + kernel-eligibility report (EFFECTS.json).
-effects:
-	$(PYTHON) -m repro.analysis.simeffect --report EFFECTS.json src/repro
+# The three committed oracles, written by one process over one Program:
+# EFFECTS.json (interprocedural effects + kernel eligibility), COSTS.json
+# (static latency accounting + counter conservation) and BATCH.json (loop
+# dependence + batching safety, the reorder oracle for the engine).
+# `make effects`, `make costs` and `make batch` each regenerate all three.
+effects costs batch: oracles
+	@:
 
-# Static latency accounting + counter-conservation report (COSTS.json).
-costs:
-	$(PYTHON) -m repro.analysis.simcost --report COSTS.json src/repro
-
-# Loop-dependence & batching-safety report (BATCH.json): the reorder
-# oracle for the planned vectorized engine.
-batch:
-	$(PYTHON) -m repro.analysis.simbatch --report BATCH.json src/repro
+oracles:
+	$(PYTHON) -m repro.analysis "simeffect --report EFFECTS.json src/repro" \
+		"simcost --report COSTS.json src/repro" \
+		"simbatch --report BATCH.json src/repro"
 
 # Dynamic half of simrace: perturb DES schedules on the tiny OLTP config
 # and fail on any undocumented schedule-dependent stat.

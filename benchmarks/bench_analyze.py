@@ -15,7 +15,10 @@ Two entry points share one measurement core:
   scheduler jitter.
 
 simeffect, simcost and simbatch are whole-program (one call-graph
-fixpoint over the tree); the other three are per-file.  All are timed
+fixpoint over the tree); the other three are per-file.  Each row runs
+one tool on its own (its own parse and Program), except ``analyze``:
+the umbrella with ``--check-suppressions``, all six tools and the
+stale-suppression audit over one parse and one Program.  All are timed
 over ``src/repro``.
 """
 
@@ -36,60 +39,68 @@ ANALYZE_PATHS = [str(SRC / "repro")]
 
 
 def _simlint() -> int:
-    from repro.analysis.simlint.engine import lint_paths
+    from repro.analysis.simlint import lint_paths
 
     return len(lint_paths(ANALYZE_PATHS))
 
 
 def _simrace() -> int:
-    from repro.analysis.simrace.engine import analyze_paths
+    from repro.analysis.simrace import analyze_paths
 
     return len(analyze_paths(ANALYZE_PATHS))
 
 
 def _simflow() -> int:
-    from repro.analysis.simflow.engine import analyze_paths
+    from repro.analysis.simflow import analyze_paths
 
     return len(analyze_paths(ANALYZE_PATHS))
 
 
 def _simeffect() -> int:
-    from repro.analysis.simeffect.engine import analyze_paths
+    from repro.analysis.simeffect import analyze_paths
 
     return len(analyze_paths(ANALYZE_PATHS))
 
 
 def _simeffect_report() -> int:
-    from repro.analysis.simeffect.engine import report_for_paths
+    from repro.analysis.simeffect import report_for_paths
 
     report = report_for_paths(ANALYZE_PATHS)
     return int(report["summary"]["annotated"])
 
 
 def _simcost() -> int:
-    from repro.analysis.simcost.engine import analyze_paths
+    from repro.analysis.simcost import analyze_paths
 
     return len(analyze_paths(ANALYZE_PATHS))
 
 
 def _simcost_report() -> int:
-    from repro.analysis.simcost.engine import report_for_paths
+    from repro.analysis.simcost import report_for_paths
 
     report = report_for_paths(ANALYZE_PATHS)
     return int(report["summary"]["entry_points"])
 
 
 def _simbatch() -> int:
-    from repro.analysis.simbatch.engine import analyze_paths
+    from repro.analysis.simbatch import analyze_paths
 
     return len(analyze_paths(ANALYZE_PATHS))
 
 
 def _simbatch_report() -> int:
-    from repro.analysis.simbatch.engine import report_for_paths
+    from repro.analysis.simbatch import report_for_paths
 
     report = report_for_paths(ANALYZE_PATHS)
     return int(report["summary"]["loops"])
+
+
+def _analyze() -> int:
+    from repro.analysis.analyze import run_all
+
+    per_tool, _files, crashes = run_all(ANALYZE_PATHS, check_suppressions=True)
+    assert not crashes, crashes
+    return sum(len(violations) for violations in per_tool.values())
 
 
 ANALYZERS: Tuple[Tuple[str, Callable[[], int]], ...] = (
@@ -102,6 +113,7 @@ ANALYZERS: Tuple[Tuple[str, Callable[[], int]], ...] = (
     ("simcost_report", _simcost_report),
     ("simbatch", _simbatch),
     ("simbatch_report", _simbatch_report),
+    ("analyze", _analyze),
 )
 
 #: Per-analyzer slowdown budget for ``--check`` (new > 2x old fails).
@@ -163,6 +175,10 @@ def test_bench_simbatch(once):
 
 def test_bench_simbatch_report(once):
     assert once(_simbatch_report) > 0
+
+
+def test_bench_analyze(once):
+    assert once(_analyze) == 0
 
 
 # --------------------------------------------------------------------------

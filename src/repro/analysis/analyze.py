@@ -1,21 +1,22 @@
-"""Umbrella runner: simlint + simrace + simflow + simeffect + simcost + simbatch.
+"""The analyzer command line: one tool, or all six merged (the umbrella).
 
-``python -m repro analyze [paths]`` runs all six static-analysis
-families over the same file set and merges their findings into a single
-report (or, with ``--json``, a single findings document in the shared
-schema of :mod:`repro.analysis.findings`, with each finding carrying a
-``tool`` field).  The first three tools are per-file; simeffect,
-simcost, and simbatch are whole-program — each parses the entire file
-set into one call graph before its rules fire.
+``python -m repro.analysis.<tool> [paths]`` runs one tool;
+``python -m repro analyze [paths]`` (or ``python -m repro.analysis.analyze``)
+runs simlint, simrace, simflow, simeffect, simcost and simbatch over
+the same files and merges their findings into a single report (or, with
+``--json``, a single findings document in the shared schema of
+:mod:`repro.analysis.findings`, with each finding carrying a ``tool``
+field).  Every run goes through :mod:`repro.analysis.runner`: each
+file is parsed once and the whole-program tools share one Program.
 
 Exit status: 0 when clean, 1 when any tool found anything, and 2 when a
-tool *crashed* on a file — a crash means that file was never actually
-checked, so it must not be mistaken for a clean pass.
+tool *crashed* on a file (umbrella) or an input is unreadable — a crash
+means that file was never actually checked, so it must not be mistaken
+for a clean pass.
 
-``--check-suppressions`` audits ``# <tool>: disable=`` comments: each
-tool is re-run with its suppressions neutralized and any comment that no
-longer shields a finding is reported as ``SUP001``, keeping dead
-markers from accumulating.
+``--check-suppressions`` audits ``# <tool>: disable=`` comments: a
+comment that shields no finding of the run is reported as ``SUP001``,
+keeping dead markers from accumulating.
 
 The merged document is also a valid ``--baseline`` snapshot: rule codes
 are disjoint across tools (SL/SR/SF/SE/SC/SB), so one baseline file can
@@ -27,50 +28,43 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis import simbatch, simcost, simeffect, simflow, simlint, simrace
 from repro.analysis.findings import (
     SCHEMA_VERSION,
     Violation,
-    add_baseline_arguments,
     filter_baseline,
-    iter_python_files,
+    findings_json,
     load_baseline,
-    strip_suppression_comments,
     unused_suppressions,
+    write_baseline,
 )
-from repro.analysis.simbatch.engine import analyze_sources as _batch_sources
-from repro.analysis.simcost.engine import analyze_sources as _cost_sources
-from repro.analysis.simeffect.engine import analyze_sources as _effect_sources
-from repro.analysis.simflow.engine import analyze_file as _flow_file
-from repro.analysis.simflow.engine import analyze_source as _flow_source
-from repro.analysis.simlint.engine import lint_file as _lint_file
-from repro.analysis.simlint.engine import lint_source as _lint_source
-from repro.analysis.simrace.engine import analyze_file as _race_file
-from repro.analysis.simrace.engine import analyze_source as _race_source
-
-#: The per-file analysis families the umbrella runs, in report order.
-TOOLS: Tuple[Tuple[str, Callable[..., List[Violation]]], ...] = (
-    ("simlint", _lint_file),
-    ("simrace", _race_file),
-    ("simflow", _flow_file),
+from repro.analysis.runner import (
+    Session,
+    SourceFile,
+    Tool,
+    findings,
+    iter_python_files,
+    shared,
+    unsuppressed,
 )
 
-#: Source-string variants of the per-file tools (suppression auditing).
-SOURCE_TOOLS: Tuple[Tuple[str, Callable[..., List[Violation]]], ...] = (
-    ("simlint", _lint_source),
-    ("simrace", _race_source),
-    ("simflow", _flow_source),
+#: The analysis families, in report order.
+TOOLS: Tuple[Tool, ...] = (
+    simlint.TOOL,
+    simrace.TOOL,
+    simflow.TOOL,
+    simeffect.TOOL,
+    simcost.TOOL,
+    simbatch.TOOL,
 )
 
-#: Whole-program tools run once over the full file set, in report order.
-PROGRAM_TOOLS: Tuple[Tuple[str, Callable[..., List[Violation]]], ...] = (
-    ("simeffect", _effect_sources),
-    ("simcost", _cost_sources),
-    ("simbatch", _batch_sources),
-)
+TOOLS_BY_NAME: Dict[str, Tool] = {tool.name: tool for tool in TOOLS}
+
+#: The crash "path" of a whole-program tool.
+WHOLE_PROGRAM = "<whole-program>"
 
 
 class Crash:
@@ -90,100 +84,79 @@ class Crash:
         return f"{self.tool}: CRASH analyzing {self.path}: {self.error}"
 
 
-def _read(path: Path) -> str:
-    return path.read_text(encoding="utf-8")
-
-
 def run_all(
     paths: Sequence[str],
+    check_suppressions: bool = False,
+    session: Optional[Session] = None,
 ) -> Tuple[Dict[str, List[Violation]], int, List[Crash]]:
     """Run every tool over ``paths``.
 
-    Returns ``(per-tool findings, #files, crashes)``.  A tool raising on
-    a file is recorded as a crash instead of aborting the whole run, so
-    one bad file can't hide every other tool's findings — but the caller
-    must exit non-zero, because the crashed (tool, file) pair was never
-    actually analyzed.
+    Returns ``(per-tool findings, #files, crashes)``; with
+    ``check_suppressions`` the stale-suppression findings come back as
+    the ``"suppressions"`` entry.  A tool raising on a file is recorded
+    as a crash instead of aborting the whole run, so one bad file can't
+    hide every other tool's findings — but the caller must exit
+    non-zero, because the crashed (tool, file) pair was never actually
+    analyzed.
     """
+    session = session or Session()
     files = iter_python_files(paths)
+    read: List[Tuple[str, Optional[SourceFile], Optional[Exception]]] = []
+    for path in files:
+        try:
+            read.append((str(path), session.read(path), None))
+        except Exception as error:
+            read.append((str(path), None, error))
+    sources = [file for _, file, _ in read if file is not None]
+    unreadable = [error for _, file, error in read if file is None]
+
     per_tool: Dict[str, List[Violation]] = {}
     crashes: List[Crash] = []
-    for tool, analyze in TOOLS:
-        violations: List[Violation] = []
-        for path in files:
+    stale: List[Violation] = []
+    for entry in TOOLS:
+        tool = Tool(*entry)  # entries may also be bare (name, per-file check)
+        raw: List[Violation] = []
+        checked: List[SourceFile] = []
+        if tool.whole_program and unreadable:  # the program is incomplete
+            crashes.append(Crash(tool.name, WHOLE_PROGRAM, unreadable[0]))
+        elif tool.whole_program:
             try:
-                violations.extend(analyze(path))
-            except Exception as error:  # pragma: no cover - exercised via tests
-                crashes.append(Crash(tool, str(path), error))
-        per_tool[tool] = violations
-    try:
-        sources = [(str(path), _read(path)) for path in files]
-    except Exception as error:
-        for tool, _ in PROGRAM_TOOLS:
-            crashes.append(Crash(tool, "<whole-program>", error))
-            per_tool[tool] = []
-        return per_tool, len(files), crashes
-    for tool, analyze_sources in PROGRAM_TOOLS:
-        try:
-            per_tool[tool] = analyze_sources(sources)
-        except Exception as error:
-            crashes.append(Crash(tool, "<whole-program>", error))
-            per_tool[tool] = []
+                raw = findings(tool, sources, session)
+                checked = sources
+            except Exception as error:
+                crashes.append(Crash(tool.name, WHOLE_PROGRAM, error))
+        else:
+            for path, file, read_error in read:
+                if file is None:
+                    crashes.append(Crash(tool.name, path, read_error))
+                    continue
+                try:
+                    raw.extend(findings(tool, [file], session))
+                    checked.append(file)
+                except Exception as error:
+                    crashes.append(Crash(tool.name, path, error))
+        per_tool[tool.name] = unsuppressed(tool, checked, raw)
+        if check_suppressions:
+            for file in checked:
+                for violation in unused_suppressions(file.path, file.lines, tool.name, raw):
+                    stale.append(
+                        replace(violation, message=f"[{tool.name}] {violation.message}")
+                    )
+    if check_suppressions:
+        stale.sort(key=lambda v: (v.path, v.line, v.col, v.message))
+        per_tool["suppressions"] = stale
     return per_tool, len(files), crashes
 
 
 def check_suppressions(paths: Sequence[str]) -> Tuple[List[Violation], List[Crash]]:
     """Audit suppression comments under ``paths``; stale ones → SUP001.
 
-    Each tool is re-run with its ``# <tool>: disable`` markers
-    neutralized; a marker whose line then shows no finding of the listed
-    codes is stale.  Findings keep the tool name in the message so mixed
-    reports stay readable.
+    A marker whose line shows no finding of the listed codes in the
+    unsuppressed run is stale.  Findings keep the tool name in the
+    message so mixed reports stay readable.
     """
-    files = iter_python_files(paths)
-    stale: List[Violation] = []
-    crashes: List[Crash] = []
-    sources = [(str(path), _read(path)) for path in files]
-    for (path_str, source) in sources:
-        lines = source.splitlines()
-        for tool, analyze_source in SOURCE_TOOLS:
-            try:
-                raw = analyze_source(
-                    strip_suppression_comments(source, tool), path=path_str
-                )
-            except Exception as error:  # pragma: no cover - exercised via tests
-                crashes.append(Crash(tool, path_str, error))
-                continue
-            for violation in unused_suppressions(path_str, lines, tool, raw):
-                stale.append(
-                    Violation(
-                        violation.path,
-                        violation.line,
-                        violation.col,
-                        violation.code,
-                        f"[{tool}] {violation.message}",
-                    )
-                )
-    for tool, analyze_sources in PROGRAM_TOOLS:
-        try:
-            raw = analyze_sources(sources, apply_suppressions=False)
-        except Exception as error:
-            crashes.append(Crash(tool, "<whole-program>", error))
-            continue
-        for (path_str, source) in sources:
-            lines = source.splitlines()
-            for violation in unused_suppressions(path_str, lines, tool, raw):
-                stale.append(
-                    Violation(
-                        violation.path,
-                        violation.line,
-                        violation.col,
-                        violation.code,
-                        f"[{tool}] {violation.message}",
-                    )
-                )
-    stale.sort(key=lambda v: (v.path, v.line, v.col, v.message))
-    return stale, crashes
+    per_tool, _files, crashes = run_all(paths, check_suppressions=True)
+    return per_tool["suppressions"], crashes
 
 
 def merged_document(
@@ -192,53 +165,197 @@ def merged_document(
     crashes: Sequence[Crash] = (),
 ) -> Dict[str, object]:
     """The merged findings document (shared schema + per-finding ``tool``)."""
-    findings: List[Dict[str, object]] = []
+    found: List[Dict[str, object]] = []
     for tool, violations in per_tool.items():
         for violation in violations:
             entry: Dict[str, object] = asdict(violation)
             entry["tool"] = tool
-            findings.append(entry)
-    findings.sort(key=lambda f: (f["path"], f["line"], f["col"], f["code"]))
+            found.append(entry)
+    found.sort(key=lambda f: (f["path"], f["line"], f["col"], f["code"]))
     document: Dict[str, object] = {
         "tool": "analyze",
         "schema_version": SCHEMA_VERSION,
-        "count": len(findings),
+        "count": len(found),
         "files_checked": files_checked,
         "by_tool": {tool: len(violations) for tool, violations in per_tool.items()},
-        "findings": findings,
+        "findings": found,
     }
     if crashes:
         document["crashes"] = [crash.as_dict() for crash in crashes]
     return document
 
 
-def configure_parser(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src/repro"],
-        help="files or directories to analyze (default: src/repro)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the merged findings document as JSON",
-    )
-    parser.add_argument(
-        "--check-suppressions",
-        action="store_true",
-        help="also flag stale '# <tool>: disable=' comments (SUP001)",
-    )
-    add_baseline_arguments(parser)
+# --------------------------------------------------------------------------
+# The one parser
+# --------------------------------------------------------------------------
 
 
-def run(args: argparse.Namespace) -> int:
-    per_tool, files_checked, crashes = run_all(args.paths)
+def configure_parser(
+    parser: argparse.ArgumentParser, tool: Optional[Tool] = None
+) -> None:
+    """The umbrella's options (``tool`` None) or one tool's."""
+    if tool is None:
+        parser.add_argument(
+            "paths",
+            nargs="*",
+            default=["src/repro"],
+            help="files or directories to analyze (default: src/repro)",
+        )
+        parser.add_argument(
+            "--json",
+            action="store_true",
+            help="emit the merged findings document as JSON",
+        )
+        parser.add_argument(
+            "--check-suppressions",
+            action="store_true",
+            help="also flag stale '# <tool>: disable=' comments (SUP001)",
+        )
+    else:
+        texts = {
+            "paths": (
+                "files or directories to analyze as ONE program (directories are "
+                "walked for *.py; default src/repro when --report is given)"
+                if tool.whole_program
+                else "files or directories to analyze (directories are walked for *.py)"
+            ),
+            "json": "emit findings as JSON (shared analysis-family schema)",
+            **tool.help,
+        }
+        parser.add_argument("paths", nargs="*", help=texts["paths"])
+        parser.add_argument("--select", metavar="CODES", help=texts["select"])
+        parser.add_argument(
+            "--list-rules",
+            action="store_true",
+            help="print the rule catalogue and exit",
+        )
+        parser.add_argument("--json", action="store_true", help=texts["json"])
+        if tool.report is not None:
+            parser.add_argument(
+                "--report",
+                nargs="?",
+                const=tool.report.default_file,
+                metavar="FILE",
+                help=texts["report"],
+            )
+        if tool.audit is not None:
+            parser.add_argument(
+                tool.audit.flag, dest="audit", action="store_true",
+                help=texts["audit"],
+            )
+    parser.add_argument(
+        "--baseline",
+        metavar="FILE",
+        help="report only findings not present in this baseline snapshot",
+    )
+    parser.add_argument(
+        "--write-baseline",
+        metavar="FILE",
+        help="snapshot the current findings to FILE (findings JSON) and exit 0",
+    )
 
-    if getattr(args, "check_suppressions", False):
-        stale, stale_crashes = check_suppressions(args.paths)
-        per_tool["suppressions"] = stale
-        crashes.extend(stale_crashes)
+
+def list_rules(tool: Tool) -> str:
+    lines = [f"{tool.name} rule catalogue:", ""]
+    for rule in tool.all_rules():
+        tag = ""
+        if tool.scope is not None:
+            tag = "sim scope only" if rule.sim_scope_only else "all files"
+            if tool.audit is not None and rule is tool.audit.rule:
+                tag += f"; {tool.audit.flag} only"
+            tag = f"  [{tag}]"
+        lines.append(f"  {rule.code}  {rule.title}{tag}")
+        lines.append(f"         {rule.explanation}")
+    return "\n".join(lines)
+
+
+def run_tool(
+    args: argparse.Namespace,
+    tool: Tool,
+    parser: argparse.ArgumentParser,
+    session: Optional[Session] = None,
+) -> int:
+    """One tool's command line."""
+    if args.list_rules:
+        print(list_rules(tool))
+        return 0
+    report = getattr(args, "report", None)
+    if not args.paths:
+        if not report:
+            example = "src/repro" if tool.whole_program else "src/"
+            parser.error(
+                f"no paths given (try: python -m repro.analysis.{tool.name} {example})"
+            )
+        args.paths = ["src/repro"]
+
+    select = None
+    if args.select:
+        select = {code.strip().upper() for code in args.select.split(",") if code.strip()}
+        known = {rule.code for rule in tool.all_rules()} | {tool.prefix + "000"}
+        unknown = sorted(select - known)
+        if unknown:
+            parser.error(
+                f"unknown rule code(s): {', '.join(unknown)} (see --list-rules)"
+            )
+
+    paths = iter_python_files(args.paths)
+    if not paths:
+        print(
+            f"{tool.name}: no Python files found under the given paths",
+            file=sys.stderr,
+        )
+        return 0
+    session = session or Session()
+    files: List[SourceFile] = []
+    for path in paths:
+        try:
+            files.append(session.read(path))
+        except (OSError, UnicodeDecodeError) as error:
+            where = "input" if tool.whole_program else str(path)
+            print(f"{tool.name}: cannot read {where}: {error}", file=sys.stderr)
+            return 2
+
+    audit = getattr(args, "audit", False)
+    violations = unsuppressed(
+        tool, files, findings(tool, files, session, select, audit)
+    )
+
+    if report:
+        document = shared(session.program(files), tool.report.build)
+        with open(report, "w", encoding="utf-8") as handle:
+            json.dump(document, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        summary = tool.report.summary.format(**document["summary"])
+        print(f"{tool.name}: wrote {report} — {summary}")
+
+    if args.write_baseline:
+        write_baseline(args.write_baseline, tool.name, violations, len(files))
+        print(
+            f"{tool.name}: wrote baseline with {len(violations)} finding(s) "
+            f"to {args.write_baseline}"
+        )
+        return 0
+    if args.baseline:
+        violations = filter_baseline(violations, load_baseline(args.baseline))
+
+    if args.json:
+        print(findings_json(tool.name, violations, files_checked=len(files)))
+        return 1 if violations else 0
+
+    for violation in violations:
+        print(violation.format())
+    if violations:
+        print(f"\n{tool.name}: {len(violations)} violation(s) in {len(files)} file(s)")
+        return 1
+    print(f"{tool.name}: {len(files)} file(s) clean")
+    return 0
+
+
+def run(args: argparse.Namespace, session: Optional[Session] = None) -> int:
+    """The umbrella's command line."""
+    per_tool, files_checked, crashes = run_all(
+        args.paths, getattr(args, "check_suppressions", False), session
+    )
 
     if getattr(args, "write_baseline", None):
         document = merged_document(per_tool, files_checked, crashes)
@@ -290,20 +407,37 @@ def run(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(
+    argv: Optional[List[str]] = None,
+    tool: Optional[str] = None,
+    session: Optional[Session] = None,
+) -> int:
+    """``python -m repro.analysis.<tool>`` (``tool`` given) or the umbrella."""
+    if tool is None:
+        parser = argparse.ArgumentParser(
+            prog="python -m repro.analysis.analyze",
+            description=(
+                "Run simlint + simrace + simflow + simeffect + simcost + "
+                "simbatch and merge their findings."
+            ),
+        )
+        configure_parser(parser)
+        return run(parser.parse_args(argv), session)
+    spec = TOOLS_BY_NAME[tool]
     parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.analyze",
-        description=(
-            "Run simlint + simrace + simflow + simeffect + simcost + "
-            "simbatch and merge their findings."
-        ),
+        prog=f"python -m repro.analysis.{spec.name}", description=spec.description
     )
-    configure_parser(parser)
-    return run(parser.parse_args(argv))
+    configure_parser(parser, spec)
+    return run_tool(parser.parse_args(argv), spec, parser, session)
+
+
+def cli(tool: Optional[str] = None) -> None:
+    """Process entry point: exit with :func:`main`'s status."""
+    try:
+        sys.exit(main(tool=tool))
+    except BrokenPipeError:  # e.g. piped into `head`
+        sys.exit(0)
 
 
 if __name__ == "__main__":
-    try:
-        sys.exit(main())
-    except BrokenPipeError:  # e.g. piped into `head`
-        sys.exit(0)
+    cli()

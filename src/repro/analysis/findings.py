@@ -1,22 +1,20 @@
 """Shared findings plumbing for the repo's static-analysis tools.
 
-Both analysis passes — :mod:`repro.analysis.simlint` (single-function
-syntax-level rules) and :mod:`repro.analysis.simrace` (interprocedural
-concurrency rules) — report findings through one schema, so CI
-annotations and downstream tooling can consume either tool's output
-without caring which produced it:
+Every tool reports findings through one schema, so CI annotations and
+downstream tooling can consume any tool's output without caring which
+produced it:
 
 * :class:`Violation` — one finding at a source location, with a stable
-  rule code (``SL###`` / ``SR###``).
+  rule code (``SL###``, ``SR###``, ...).
 * :func:`findings_json` — the shared ``--json`` serialization
   (``{"tool", "schema_version", "count", "files_checked", "findings"}``).
 * :func:`parse_suppressions` — per-line ``# <tool>: disable=CODE``
-  comment parsing; both tools use identical suppression syntax.
-* :func:`strip_suppression_comments` / :func:`unused_suppressions` —
-  stale-suppression detection (``SUP001``): re-run a tool with
-  suppressions neutralized and flag the comments that no longer shield
-  any finding, so dead ``disable=`` markers can't accumulate.
-* :func:`iter_python_files` — file/directory expansion for the CLIs.
+  comment parsing; every tool uses identical suppression syntax.
+* :func:`unused_suppressions` — stale-suppression detection
+  (``SUP001``): the comments that shield no finding of an unsuppressed
+  run, so dead ``disable=`` markers can't accumulate.
+  :func:`strip_suppression_comments` neutralizes the markers of one
+  tool in a source string, line numbers preserved.
 * :func:`load_baseline` / :func:`write_baseline` /
   :func:`filter_baseline` — ``--baseline`` support: snapshot the
   current findings and report only ones not in the snapshot, so a new
@@ -33,8 +31,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 #: Version of the shared findings JSON schema; bump on breaking changes.
 SCHEMA_VERSION = 1
@@ -120,8 +117,8 @@ def unused_suppressions(
 ) -> List[Violation]:
     """Suppression comments in ``lines`` that shield no actual finding.
 
-    ``raw_violations`` must be the tool's findings for this file with
-    suppressions *disabled* (e.g. via :func:`strip_suppression_comments`).
+    ``raw_violations`` must be the tool's findings with suppressions
+    *not applied*.
     Returns one ``SUP001`` violation per stale comment: either no finding
     exists on the line at all, or specific codes are listed and none of
     them fires there.
@@ -162,18 +159,6 @@ def unused_suppressions(
                 )
             )
     return stale
-
-
-def iter_python_files(paths: Iterable[str]) -> List[Path]:
-    """Expand files/directories into a sorted list of ``*.py`` files."""
-    out: List[Path] = []
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            out.extend(sorted(path.rglob("*.py")))
-        elif path.suffix == ".py":
-            out.append(path)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -221,42 +206,3 @@ def filter_baseline(
 ) -> List[Violation]:
     """Drop findings whose (path, code, message) appear in the baseline."""
     return [v for v in violations if baseline_key(v) not in keys]
-
-
-def add_baseline_arguments(parser) -> None:
-    """Install the shared ``--baseline`` / ``--write-baseline`` options."""
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="report only findings not present in this baseline snapshot",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="snapshot the current findings to FILE (findings JSON) and exit 0",
-    )
-
-
-def apply_baseline(
-    args,
-    tool: str,
-    violations: List[Violation],
-    files_checked: Optional[int] = None,
-) -> "Tuple[List[Violation], Optional[int]]":
-    """Shared handling for the baseline options.
-
-    Returns ``(violations, exit_code)`` — ``exit_code`` is non-None when
-    the invocation is complete (``--write-baseline`` wrote its snapshot),
-    otherwise ``violations`` has been filtered against ``--baseline``
-    (when given) and the caller reports as usual.
-    """
-    if getattr(args, "write_baseline", None):
-        write_baseline(args.write_baseline, tool, violations, files_checked)
-        print(
-            f"{tool}: wrote baseline with {len(violations)} finding(s) "
-            f"to {args.write_baseline}"
-        )
-        return violations, 0
-    if getattr(args, "baseline", None):
-        violations = filter_baseline(violations, load_baseline(args.baseline))
-    return violations, None

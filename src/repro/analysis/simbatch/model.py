@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.batch import COMMUTATIVE_OPS
 from repro.analysis.simeffect.model import (
@@ -36,18 +36,18 @@ from repro.analysis.simeffect.model import (
     CONTAINER_METHOD_TABLES,
     FAULT_HOOK,
     MUTATES_STATE,
-    MUTATES_STATS,
     PERSISTS,
     RNG,
     YIELDS,
-    ClassInfo,
     FunctionInfo,
     Program,
     TypeContext,
     _bind_target,
+    _decorator_name,
     _elem_of,
     _initial_env,
     infer_type,
+    short_name,
 )
 from repro.analysis.simeffect.scan import witness_chain
 
@@ -149,22 +149,9 @@ class BatchAnalysis:
     loops_by_function: Dict[str, List[LoopFacts]] = field(default_factory=dict)
 
 
-def _short(qualname: str) -> str:
-    return qualname.replace("repro.", "", 1)
-
-
 # --------------------------------------------------------------------------
 # Contract parsing (syntactic, mirrors simeffect's decorator handling)
 # --------------------------------------------------------------------------
-
-
-def _decorator_name(dec: ast.expr) -> Optional[str]:
-    node = dec.func if isinstance(dec, ast.Call) else dec
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
 
 
 def _const_str(node: Optional[ast.expr]) -> Optional[str]:
@@ -755,7 +742,7 @@ def _callee_deps(program: Program, fn: FunctionInfo, certified: Set[str],
                     CarriedDep(
                         effect, "effect", None, edge.line,
                         via=tuple(witness_chain(program, edge.callee, effect)),
-                        detail=f"{_short(edge.callee)} couples the iteration to"
+                        detail=f"{short_name(edge.callee)} couples the iteration to"
                                f" the {effect.lower().replace('_', ' ')} stream",
                     )
                 )
@@ -764,7 +751,7 @@ def _callee_deps(program: Program, fn: FunctionInfo, certified: Set[str],
                 seen.add(("callee", edge.callee))
                 deps.append(
                     CarriedDep(
-                        _short(edge.callee), "callee", None, edge.line,
+                        short_name(edge.callee), "callee", None, edge.line,
                         via=tuple(witness_chain(program, edge.callee, effect)),
                         detail="mutates shared state and is not a certified"
                                " kernel",

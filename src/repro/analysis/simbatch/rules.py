@@ -11,29 +11,27 @@ reorder-safe that nobody has declared yet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Set, Tuple
+from typing import Iterator, Set, Tuple
 
-from repro.batch import COMMUTATIVE_OPS
+from repro.analysis.runner import ProgramRule, ReportFn
 from repro.analysis.simeffect.model import (
     FunctionInfo,
     MUTATES_STATS,
     READS_CLOCK,
     RNG,
+    chain_str,
+    short_name,
 )
 from repro.analysis.simeffect.scan import transitive_unresolved, witness_chain
 from repro.analysis.simbatch.model import (
     EVENT_EFFECTS,
     ORDER_DEPENDENT,
     REDUCTION,
-    VECTORIZABLE,
     BatchAnalysis,
     CarriedDep,
     Contract,
     LoopFacts,
-    _short,
 )
-
-Report = Callable[[str, str, int, int, str], None]
 
 OPPORTUNITY_RULE_CODE = "SB007"
 
@@ -52,16 +50,12 @@ class Finding:
     message: str
 
 
-def _chain_str(chain: Tuple[str, ...]) -> str:
-    return " -> ".join(_short(name) for name in chain)
-
-
 def _witness(dep: CarriedDep) -> str:
     parts = [f"mutated at line {dep.line}"]
     if dep.read_line is not None:
         parts.append(f"carrying read at line {dep.read_line}")
     if dep.via:
-        parts.append(f"via {_chain_str(dep.via)}")
+        parts.append(f"via {chain_str(dep.via)}")
     if dep.detail:
         parts.append(dep.detail)
     return "; ".join(parts)
@@ -92,14 +86,14 @@ def region_findings(analysis: BatchAnalysis) -> Iterator[Finding]:
         if not loops:
             yield Finding(
                 "SB006", fn, contract.line, 0,
-                f"{_short(qualname)} is declared @batchable but contains no"
+                f"{short_name(qualname)} is declared @batchable but contains no"
                 " loop — stale contract",
             )
         for declared in contract.reductions:
             if declared.var not in dep_names:
                 yield Finding(
                     "SB006", fn, contract.line, 0,
-                    f"{_short(qualname)} declares @reduction(var="
+                    f"{short_name(qualname)} declares @reduction(var="
                     f"'{declared.var}', op='{declared.op}') but '{declared.var}'"
                     " carries no loop dependence — stale contract",
                 )
@@ -184,13 +178,13 @@ def _call_findings(analysis: BatchAnalysis, fn: FunctionInfo) -> Iterator[Findin
             key = (edge.callee, edge.line)
             if key not in flagged:
                 flagged.add(key)
-                chain = _chain_str(
+                chain = chain_str(
                     tuple(witness_chain(program, edge.callee, events[0]))
                 )
                 yield Finding(
                     "SB004", fn, edge.line, 0,
                     f"{events[0].lower().replace('_', ' ')} inside batchable"
-                    f" region {_short(fn.qualname)}: via {chain}",
+                    f" region {short_name(fn.qualname)}: via {chain}",
                 )
             continue
         if edge.callee in analysis.certified or callee.seeded:
@@ -205,32 +199,20 @@ def _call_findings(analysis: BatchAnalysis, fn: FunctionInfo) -> Iterator[Findin
         )
         yield Finding(
             "SB005", fn, edge.line, 0,
-            f"batchable region {_short(fn.qualname)} calls"
-            f" {_short(edge.callee)}, which is not certified in EFFECTS.json"
+            f"batchable region {short_name(fn.qualname)} calls"
+            f" {short_name(edge.callee)}, which is not certified in EFFECTS.json"
             f" ({reason})",
         )
     for line, description in fn.unresolved:
         yield Finding(
             "SB005", fn, line, 0,
-            f"batchable region {_short(fn.qualname)} makes an unresolved call"
+            f"batchable region {short_name(fn.qualname)} makes an unresolved call"
             f" ({description}); it cannot be certified",
         )
 
 
-class Rule:
-    """One SB rule; ``check`` walks the analysis and reports."""
-
-    code = "SB000"
-    title = ""
-    sim_scope_only = True
-    explanation = ""
-
-    def check(self, analysis: BatchAnalysis, report: Report) -> None:
-        raise NotImplementedError
-
-
-class _RegionRule(Rule):
-    def check(self, analysis: BatchAnalysis, report: Report) -> None:
+class _RegionRule(ProgramRule):
+    def check(self, analysis: BatchAnalysis, report: ReportFn) -> None:
         program = analysis.program
         for finding in region_findings(analysis):
             if finding.code == self.code:
@@ -308,7 +290,7 @@ class StaleContract(_RegionRule):
     )
 
 
-class BatchableOpportunity(Rule):
+class BatchableOpportunity(ProgramRule):
     code = OPPORTUNITY_RULE_CODE
     title = "loop provably batchable but not declared"
     explanation = (
@@ -318,7 +300,7 @@ class BatchableOpportunity(Rule):
         "batch what is not declared.  Only runs under --check-opportunities."
     )
 
-    def check(self, analysis: BatchAnalysis, report: Report) -> None:
+    def check(self, analysis: BatchAnalysis, report: ReportFn) -> None:
         program = analysis.program
         for loop in analysis.loops:
             contract = analysis.contracts.get(loop.function)
@@ -326,19 +308,19 @@ class BatchableOpportunity(Rule):
                 continue
             if loop.classification == ORDER_DEPENDENT or not loop.kernel_calls:
                 continue
-            kernels = ", ".join(_short(k) for k in loop.kernel_calls)
+            kernels = ", ".join(short_name(k) for k in loop.kernel_calls)
             shape = loop.classification
             if loop.classification == REDUCTION:
                 shape += "(" + ",".join(loop.reduction_ops) + ")"
             report(
                 self.code, loop.path, loop.line, loop.col,
-                f"loop in {_short(loop.function)} is provably {shape} and"
+                f"loop in {short_name(loop.function)} is provably {shape} and"
                 f" calls certified kernel(s) {kernels}; declare @batchable"
                 " so the vectorized engine may batch it",
             )
 
 
-RULES: Tuple[Rule, ...] = (
+RULES: Tuple[ProgramRule, ...] = (
     CarriedDependence(),
     OrderSensitiveReduction(),
     CrossIterationAliasing(),
@@ -348,13 +330,6 @@ RULES: Tuple[Rule, ...] = (
 )
 
 OPPORTUNITY_RULE = BatchableOpportunity()
-
-RULES_BY_CODE = {rule.code: rule for rule in RULES + (OPPORTUNITY_RULE,)}
-
-
-def check_opportunities(analysis: BatchAnalysis, report: Report) -> None:
-    OPPORTUNITY_RULE.check(analysis, report)
-
 
 def region_violation_codes(analysis: BatchAnalysis) -> dict:
     """Map of region qualname -> sorted violation codes (for BATCH.json)."""

@@ -1,175 +1,6 @@
-"""Command-line entry point: ``python -m repro.analysis.simcost <paths>``.
+"""``python -m repro.analysis.simcost <paths>``: the simcost command line."""
 
-Exits 1 when any violation is found, 0 on a clean tree.  With
-``--report [FILE]`` the cost report is written (default ``COSTS.json``)
-— the translation-validation oracle for the vectorized engine — and the
-exit status still reflects findings.  ``--check-config`` runs the SC007
-dead-knob audit over FlatFlashConfig/GeometryConfig/PromotionConfig
-instead of the SC accounting rules.
-"""
-
-from __future__ import annotations
-
-import argparse
-import json
-import sys
-from typing import List, Optional
-
-from repro.analysis.findings import (
-    add_baseline_arguments,
-    apply_baseline,
-    findings_json,
-)
-from repro.analysis.simcost.engine import (
-    TOOL,
-    analyze_sources,
-    build,
-    build_report,
-    config_violations,
-    read_sources,
-    solve,
-)
-from repro.analysis.simcost.rules import CONFIG_RULE_CODE, RULES
-
-
-def _list_rules() -> str:
-    lines = ["simcost rule catalogue:", ""]
-    for rule in RULES:
-        scope = "sim scope only" if rule.sim_scope_only else "all files"
-        lines.append(f"  {rule.code}  {rule.title}  [{scope}]")
-        lines.append(f"         {rule.explanation}")
-    lines.append(
-        f"  {CONFIG_RULE_CODE}  dead config knob  [all files; --check-config only]"
-    )
-    lines.append(
-        "         FlatFlashConfig/GeometryConfig/PromotionConfig field "
-        "never read outside its config module."
-    )
-    return "\n".join(lines)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.simcost",
-        description=(
-            "Static latency-accounting & counter-conservation analysis for "
-            "the FlatFlash simulator."
-        ),
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help=(
-            "files or directories to analyze as ONE program (directories are "
-            "walked for *.py; default src/repro when --report is given)"
-        ),
-    )
-    parser.add_argument(
-        "--select",
-        metavar="CODES",
-        help="comma-separated rule codes to run (default: all), e.g. SC002,SC004",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalogue and exit",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit findings as JSON (shared analysis-family schema)",
-    )
-    parser.add_argument(
-        "--report",
-        nargs="?",
-        const="COSTS.json",
-        metavar="FILE",
-        help=(
-            "write the per-entry-point cost report to FILE "
-            "(default COSTS.json) in addition to reporting findings"
-        ),
-    )
-    parser.add_argument(
-        "--check-config",
-        action="store_true",
-        help=(
-            "run the SC007 dead-knob audit (config fields never read) "
-            "instead of the SC accounting rules"
-        ),
-    )
-    add_baseline_arguments(parser)
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        print(_list_rules())
-        return 0
-    if not args.paths:
-        if args.report:
-            args.paths = ["src/repro"]
-        else:
-            parser.error(
-                "no paths given (try: python -m repro.analysis.simcost src/repro)"
-            )
-
-    select = None
-    if args.select:
-        select = [
-            code.strip().upper() for code in args.select.split(",") if code.strip()
-        ]
-        known = {rule.code for rule in RULES} | {"SC000", CONFIG_RULE_CODE}
-        unknown = sorted(set(select) - known)
-        if unknown:
-            parser.error(
-                f"unknown rule code(s): {', '.join(unknown)} (see --list-rules)"
-            )
-
-    try:
-        sources = read_sources(args.paths)
-    except (OSError, UnicodeDecodeError) as error:
-        print(f"simcost: cannot read input: {error}", file=sys.stderr)
-        return 2
-    if not sources:
-        print("simcost: no Python files found under the given paths", file=sys.stderr)
-        return 0
-
-    if args.check_config:
-        violations = config_violations(sources)
-    else:
-        violations = analyze_sources(sources, select=select)
-
-    if args.report:
-        program, _errors = build(sources)
-        report = build_report(program, solve(program))
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        summary = report["summary"]
-        print(
-            f"simcost: wrote {args.report} — "
-            f"{summary['entry_points']} entry point(s), "
-            f"{summary['invariants_verified']}/{summary['invariants_declared']} "
-            f"invariant(s) verified"
-        )
-
-    violations, done = apply_baseline(args, TOOL, violations, len(sources))
-    if done is not None:
-        return done
-
-    if args.json:
-        print(findings_json(TOOL, violations, files_checked=len(sources)))
-        return 1 if violations else 0
-
-    for violation in violations:
-        print(violation.format())
-    if violations:
-        print(f"\nsimcost: {len(violations)} violation(s) in {len(sources)} file(s)")
-        return 1
-    print(f"simcost: {len(sources)} file(s) clean")
-    return 0
-
+from repro.analysis.analyze import cli
 
 if __name__ == "__main__":
-    try:
-        sys.exit(main())
-    except BrokenPipeError:  # e.g. piped into `head`
-        sys.exit(0)
+    cli("simcost")

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.costs import Invariant
-from repro.analysis.simeffect.model import FunctionInfo, Program
-from repro.analysis.simcost.model import CONFIG_CLASSES, CostModel
+from repro.analysis.runner import ProgramRule, ReportFn
+from repro.analysis.simeffect.model import FunctionInfo, Program, short_name
+from repro.analysis.simcost.model import CostModel
 from repro.analysis.simcost.paths import (
     Evaluator,
     Interval,
@@ -24,8 +25,6 @@ from repro.analysis.simcost.paths import (
     iv_add,
     iv_exact,
 )
-
-Report = Callable[[str, str, int, int, str], None]
 
 
 @dataclass
@@ -37,30 +36,14 @@ class Analysis:
     evaluator: Evaluator
 
 
-def _short(qualname: str) -> str:
-    return qualname.replace("repro.", "", 1)
-
-
 def _def_site(analysis: Analysis, fn: FunctionInfo) -> Tuple[str, int]:
     return analysis.program.paths[fn.module], fn.lineno
 
 
-class Rule:
-    """One SC rule; ``check`` walks the solved analysis and reports."""
-
-    code = "SC000"
-    title = ""
-    sim_scope_only = True
-    explanation = ""
-
-    def check(self, analysis: Analysis, report: Report) -> None:
-        raise NotImplementedError
-
-
-class _EventRule(Rule):
+class _EventRule(ProgramRule):
     """SC001–SC003 replay accounting events recorded during evaluation."""
 
-    def check(self, analysis: Analysis, report: Report) -> None:
+    def check(self, analysis: Analysis, report: ReportFn) -> None:
         for qualname in sorted(analysis.evaluator.summaries):
             summary = analysis.evaluator.summaries[qualname]
             fn = analysis.program.functions.get(qualname)
@@ -226,7 +209,7 @@ def check_invariants(analysis: Analysis) -> List[InvariantResult]:
                     checked += 1
                     if not holds:
                         violations.append(
-                            f"{_short(fn.qualname)} on path "
+                            f"{short_name(fn.qualname)} on path "
                             f"[{_conds_str(path)}]"
                         )
             if violations:
@@ -242,7 +225,7 @@ def check_invariants(analysis: Analysis) -> List[InvariantResult]:
     return results
 
 
-class ConservationViolated(Rule):
+class ConservationViolated(ProgramRule):
     code = "SC004"
     title = "counter-conservation invariant violated"
     explanation = (
@@ -252,7 +235,7 @@ class ConservationViolated(Rule):
         "fires on malformed contracts and invariants naming unknown stats."
     )
 
-    def check(self, analysis: Analysis, report: Report) -> None:
+    def check(self, analysis: Analysis, report: ReportFn) -> None:
         for class_qualname in sorted(analysis.model.contracts):
             contract = analysis.model.contracts[class_qualname]
             cls = analysis.program.classes.get(class_qualname)
@@ -281,7 +264,7 @@ class ConservationViolated(Rule):
                 )
 
 
-class ForeignStatMutation(Rule):
+class ForeignStatMutation(ProgramRule):
     code = "SC005"
     title = "stat mutated outside its owning component"
     explanation = (
@@ -291,7 +274,7 @@ class ForeignStatMutation(Rule):
         "the vectorized replay — unauditable."
     )
 
-    def check(self, analysis: Analysis, report: Report) -> None:
+    def check(self, analysis: Analysis, report: ReportFn) -> None:
         model = analysis.model
         program = analysis.program
         for qualname in sorted(analysis.evaluator.summaries):
@@ -314,12 +297,12 @@ class ForeignStatMutation(Rule):
                 if not owner_classes or prefix in declared:
                     continue
                 owners = ", ".join(
-                    sorted(_short(name) for name in owner_classes)
+                    sorted(short_name(name) for name in owner_classes)
                 )
                 report(
                     self.code, path, line, 0,
                     f"stat '{stat_name}' (prefix '{prefix}', owned by "
-                    f"{owners}) is mutated by {_short(qualname)}, which "
+                    f"{owners}) is mutated by {short_name(qualname)}, which "
                     f"does not declare @counters(owner='{prefix}')",
                 )
 
@@ -338,7 +321,7 @@ def _load_attr_names(program: Program, skip_module: str = "") -> Set[str]:
     return used
 
 
-class DeadCostConstant(Rule):
+class DeadCostConstant(ProgramRule):
     code = "SC006"
     title = "LatencyConfig field never charged anywhere"
     explanation = (
@@ -348,7 +331,7 @@ class DeadCostConstant(Rule):
     )
     sim_scope_only = False  # findings land in config.py, outside sim scope
 
-    def check(self, analysis: Analysis, report: Report) -> None:
+    def check(self, analysis: Analysis, report: ReportFn) -> None:
         model = analysis.model
         if not model.latency_fields:
             return
@@ -367,7 +350,7 @@ class DeadCostConstant(Rule):
                 )
 
 
-RULES: Tuple[Rule, ...] = (
+RULES: Tuple[ProgramRule, ...] = (
     UnchargedTimedPath(),
     DoubleCharge(),
     MagicNumberTime(),
@@ -376,15 +359,14 @@ RULES: Tuple[Rule, ...] = (
     DeadCostConstant(),
 )
 
-RULES_BY_CODE: Dict[str, Rule] = {rule.code: rule for rule in RULES}
 
-#: --check-config pass (satellite: dead-knob audit).  Kept out of RULES so
-#: the default lint run stays focused on accounting; SC007 findings land
-#: in config.py and are reviewed explicitly.
+#: --check-config pass (dead-knob audit).  Kept out of RULES so the
+#: default lint run stays focused on accounting; SC007 findings land in
+#: config.py and are reviewed explicitly.
 CONFIG_RULE_CODE = "SC007"
 
 
-def check_config(analysis: Analysis, report: Report) -> None:
+class DeadConfigKnob(ProgramRule):
     """SC007: FlatFlashConfig/GeometryConfig/PromotionConfig field never read.
 
     Unlike SC006 (a cost constant must be *charged*, i.e. read from a hot
@@ -392,16 +374,29 @@ def check_config(analysis: Analysis, report: Report) -> None:
     it is read anywhere at all — including derived accessors inside the
     config module, the common pattern for ratio/override pairs.
     """
-    model = analysis.model
-    if not model.config_fields:
-        return
-    used = _load_attr_names(analysis.program)
-    for name in sorted(model.config_fields):
-        if name not in used:
-            class_qualname, path, line = model.config_fields[name]
-            cls = class_qualname.rsplit(".", 1)[-1]
-            report(
-                CONFIG_RULE_CODE, path, line, 0,
-                f"{cls}.{name} is never read anywhere (dead knob): "
-                f"delete it or document why it stays",
-            )
+
+    code = CONFIG_RULE_CODE
+    title = "dead config knob"
+    sim_scope_only = False
+    explanation = (
+        "FlatFlashConfig/GeometryConfig/PromotionConfig field never read "
+        "outside its config module."
+    )
+
+    def check(self, analysis: Analysis, report: ReportFn) -> None:
+        model = analysis.model
+        if not model.config_fields:
+            return
+        used = _load_attr_names(analysis.program)
+        for name in sorted(model.config_fields):
+            if name not in used:
+                class_qualname, path, line = model.config_fields[name]
+                cls = class_qualname.rsplit(".", 1)[-1]
+                report(
+                    CONFIG_RULE_CODE, path, line, 0,
+                    f"{cls}.{name} is never read anywhere (dead knob): "
+                    f"delete it or document why it stays",
+                )
+
+
+CONFIG_RULE = DeadConfigKnob()

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.effects import KERNEL_SAFE_EFFECTS  # noqa: F401  (re-exported)
 
 # --------------------------------------------------------------------------
 # Effect lattice
@@ -352,6 +351,9 @@ class Program:
         self.classes: Dict[str, ClassInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.paths: Dict[str, str] = {}  # module name -> file path
+        # Analyses derived from this program, computed once and shared by
+        # the tools (see repro.analysis.runner.shared).
+        self.derived: Dict[object, object] = {}
 
     # -- resolution helpers ------------------------------------------------
 
@@ -442,6 +444,16 @@ class Program:
 # --------------------------------------------------------------------------
 # Pass A: module symbol tables
 # --------------------------------------------------------------------------
+
+
+def short_name(qualname: str) -> str:
+    """A qualname as the reports and messages print it (no ``repro.``)."""
+    return qualname.replace("repro.", "", 1)
+
+
+def chain_str(chain: Sequence[str]) -> str:
+    """A call chain as the reports and messages print it."""
+    return " -> ".join(short_name(name) for name in chain)
 
 
 def module_name_for_path(path: str) -> str:

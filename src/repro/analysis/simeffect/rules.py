@@ -13,10 +13,11 @@ the simulator layers, not to experiment scripts.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Tuple
 
 from repro.effects import KERNEL_SAFE_EFFECTS
-from repro.analysis.simeffect.model import FunctionInfo, Program, SPEC_SEEDS
+from repro.analysis.runner import ProgramRule, ReportFn
+from repro.analysis.simeffect.model import FunctionInfo, Program, chain_str, short_name
 from repro.analysis.simeffect.scan import (
     kernel_scope,
     raise_chain,
@@ -29,34 +30,12 @@ LOCK_MEANINGFUL_EFFECTS = frozenset(
     {"MUTATES_STATE", "MUTATES_STATS", "PERSISTS", "ADVANCES_CLOCK", "RNG"}
 )
 
-Report = Callable[[str, str, int, int, str], None]
-
-
-def _chain_str(chain: List[str]) -> str:
-    return " -> ".join(name.replace("repro.", "", 1) for name in chain)
-
-
-def _short(qualname: str) -> str:
-    return qualname.replace("repro.", "", 1)
-
-
-class Rule:
-    """One SE rule; ``check`` walks the solved program and reports."""
-
-    code = "SE000"
-    title = ""
-    sim_scope_only = True
-    explanation = ""
-
-    def check(self, program: Program, report: Report) -> None:
-        raise NotImplementedError
-
 
 def _def_site(program: Program, function: FunctionInfo) -> Tuple[str, int]:
     return program.paths[function.module], function.lineno
 
 
-class KernelContractViolated(Rule):
+class KernelContractViolated(ProgramRule):
     code = "SE001"
     title = "@kernel function has a non-kernel-safe transitive effect"
     explanation = (
@@ -66,7 +45,7 @@ class KernelContractViolated(Rule):
         "hooks — couple it to the event loop and forbid batch compilation."
     )
 
-    def check(self, program: Program, report: Report) -> None:
+    def check(self, program: Program, report: ReportFn) -> None:
         for function in sorted(program.functions.values(), key=lambda f: f.qualname):
             if function.kernel is None or function.seeded:
                 continue
@@ -76,12 +55,12 @@ class KernelContractViolated(Rule):
                 chain = witness_chain(program, function.qualname, effect)
                 report(
                     self.code, path, line, 0,
-                    f"@kernel function {_short(function.qualname)} has effect "
-                    f"{effect} (via {_chain_str(chain)})",
+                    f"@kernel function {short_name(function.qualname)} has effect "
+                    f"{effect} (via {chain_str(chain)})",
                 )
 
 
-class DeclaredEffectsExceeded(Rule):
+class DeclaredEffectsExceeded(ProgramRule):
     code = "SE002"
     title = "inferred effects exceed the @effects declaration"
     explanation = (
@@ -90,7 +69,7 @@ class DeclaredEffectsExceeded(Rule):
         "kernel-eligibility report stops being trustworthy."
     )
 
-    def check(self, program: Program, report: Report) -> None:
+    def check(self, program: Program, report: ReportFn) -> None:
         for function in sorted(program.functions.values(), key=lambda f: f.qualname):
             if function.declared_effects is None or function.seeded:
                 continue
@@ -99,13 +78,13 @@ class DeclaredEffectsExceeded(Rule):
                 chain = witness_chain(program, function.qualname, effect)
                 report(
                     self.code, path, line, 0,
-                    f"{_short(function.qualname)} has undeclared effect {effect} "
-                    f"(via {_chain_str(chain)}); add it to @effects or remove "
+                    f"{short_name(function.qualname)} has undeclared effect {effect} "
+                    f"(via {chain_str(chain)}); add it to @effects or remove "
                     f"the cause",
                 )
 
 
-class UnresolvedDispatchInKernel(Rule):
+class UnresolvedDispatchInKernel(ProgramRule):
     code = "SE003"
     title = "unresolvable dynamic dispatch inside kernel scope"
     explanation = (
@@ -114,7 +93,7 @@ class UnresolvedDispatchInKernel(Rule):
         "callable value) hides arbitrary effects."
     )
 
-    def check(self, program: Program, report: Report) -> None:
+    def check(self, program: Program, report: ReportFn) -> None:
         scope = kernel_scope(program)
         for qualname in sorted(scope):
             function = program.functions[qualname]
@@ -123,11 +102,11 @@ class UnresolvedDispatchInKernel(Rule):
                 report(
                     self.code, path, line, 0,
                     f"unresolved call in kernel scope of "
-                    f"{_short(scope[qualname])}: {reason}",
+                    f"{short_name(scope[qualname])}: {reason}",
                 )
 
 
-class AllocationInKernel(Rule):
+class AllocationInKernel(ProgramRule):
     code = "SE004"
     title = "per-access container allocation inside kernel scope"
     explanation = (
@@ -136,7 +115,7 @@ class AllocationInKernel(Rule):
         "Exception-path formatting is exempt."
     )
 
-    def check(self, program: Program, report: Report) -> None:
+    def check(self, program: Program, report: ReportFn) -> None:
         scope = kernel_scope(program)
         for qualname in sorted(scope):
             function = program.functions[qualname]
@@ -145,11 +124,11 @@ class AllocationInKernel(Rule):
                 report(
                     self.code, path, line, 0,
                     f"container allocation ({desc}) in kernel scope of "
-                    f"{_short(scope[qualname])}",
+                    f"{short_name(scope[qualname])}",
                 )
 
 
-class UndeclaredKernelRaise(Rule):
+class UndeclaredKernelRaise(ProgramRule):
     code = "SE005"
     title = "exception escapes a @kernel function without a may_raise entry"
     explanation = (
@@ -158,7 +137,7 @@ class UndeclaredKernelRaise(Rule):
         "undeclared escape means the bailout set is wrong."
     )
 
-    def check(self, program: Program, report: Report) -> None:
+    def check(self, program: Program, report: ReportFn) -> None:
         for function in sorted(program.functions.values(), key=lambda f: f.qualname):
             if function.kernel is None or function.seeded:
                 continue
@@ -170,13 +149,13 @@ class UndeclaredKernelRaise(Rule):
                 chain = raise_chain(program, function.qualname, exc)
                 report(
                     self.code, path, line, 0,
-                    f"@kernel function {_short(function.qualname)} can raise "
-                    f"{exc.split('.')[-1]} (via {_chain_str(chain)}) but does "
+                    f"@kernel function {short_name(function.qualname)} can raise "
+                    f"{exc.split('.')[-1]} (via {chain_str(chain)}) but does "
                     f"not declare it in may_raise",
                 )
 
 
-class PointlessLock(Rule):
+class PointlessLock(ProgramRule):
     code = "SE006"
     title = "effect-free function holds a lock"
     explanation = (
@@ -185,7 +164,7 @@ class PointlessLock(Rule):
         "serializes the simulation for nothing."
     )
 
-    def check(self, program: Program, report: Report) -> None:
+    def check(self, program: Program, report: ReportFn) -> None:
         for function in sorted(program.functions.values(), key=lambda f: f.qualname):
             if not function.acquires_lock or function.seeded:
                 continue
@@ -194,13 +173,13 @@ class PointlessLock(Rule):
             path, line = _def_site(program, function)
             report(
                 self.code, path, line, 0,
-                f"{_short(function.qualname)} acquires a lock but has no "
+                f"{short_name(function.qualname)} acquires a lock but has no "
                 f"effect a lock could protect (transitive effects: "
                 f"{', '.join(sorted(function.effects)) or 'none'})",
             )
 
 
-RULES: Tuple[Rule, ...] = (
+RULES: Tuple[ProgramRule, ...] = (
     KernelContractViolated(),
     DeclaredEffectsExceeded(),
     UnresolvedDispatchInKernel(),
@@ -209,7 +188,3 @@ RULES: Tuple[Rule, ...] = (
     PointlessLock(),
 )
 
-RULES_BY_CODE: Dict[str, Rule] = {rule.code: rule for rule in RULES}
-
-# silence unused-import warnings for re-exported names used by the engine
-_ = SPEC_SEEDS

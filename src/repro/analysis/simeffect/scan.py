@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.simeffect.model import (
     ALLOC_BUILTINS,
-    ALLOC_COLLECTIONS,
     BUILTIN_CONTAINER_KINDS,
     BUILTIN_EXCEPTIONS,
     CONTAINER_METHOD_TABLES,
@@ -372,9 +371,6 @@ class _Scanner:
         _ = _effects
         for exc in raises:
             self._raise(exc, line)
-
-    def _edge_or_seed(self, info: FunctionInfo, line: int) -> None:
-        self._edge(info.qualname, line)
 
     def _scan_call(self, node: ast.Call) -> None:  # noqa: C901
         func = node.func

@@ -1,110 +1,6 @@
-"""Command-line entry point: ``python -m repro.analysis.simlint <paths>``.
+"""``python -m repro.analysis.simlint <paths>``: the simlint command line."""
 
-Exits 1 when any violation is found, 0 on a clean tree.
-"""
-
-from __future__ import annotations
-
-import argparse
-import sys
-from typing import List, Optional
-
-from repro.analysis.findings import (
-    Violation,
-    add_baseline_arguments,
-    apply_baseline,
-    findings_json,
-)
-from repro.analysis.simlint.engine import iter_python_files, lint_file
-from repro.analysis.simlint.rules import RULES
-
-
-def _list_rules() -> str:
-    lines = ["simlint rule catalogue:", ""]
-    for rule in RULES:
-        scope = "sim scope only" if rule.sim_scope_only else "all files"
-        lines.append(f"  {rule.code}  {rule.title}  [{scope}]")
-        lines.append(f"         {rule.explanation}")
-    return "\n".join(lines)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.simlint",
-        description="Domain-specific static analysis for the FlatFlash simulator.",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (directories are walked for *.py)",
-    )
-    parser.add_argument(
-        "--select",
-        metavar="CODES",
-        help="comma-separated rule codes to run (default: all), e.g. SL001,SL003",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalogue and exit",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit findings as JSON (shared simlint/simrace schema)",
-    )
-    add_baseline_arguments(parser)
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        print(_list_rules())
-        return 0
-    if not args.paths:
-        parser.error("no paths given (try: python -m repro.analysis.simlint src/)")
-
-    select = None
-    if args.select:
-        select = [code.strip().upper() for code in args.select.split(",") if code.strip()]
-        known = {rule.code for rule in RULES} | {"SL000"}
-        unknown = sorted(set(select) - known)
-        if unknown:
-            parser.error(
-                f"unknown rule code(s): {', '.join(unknown)} "
-                f"(see --list-rules)"
-            )
-
-    files = iter_python_files(args.paths)
-    if not files:
-        print("simlint: no Python files found under the given paths", file=sys.stderr)
-        return 0
-
-    violations: List[Violation] = []
-    for path in files:
-        try:
-            violations.extend(lint_file(path, select=select))
-        except (OSError, UnicodeDecodeError) as error:
-            print(f"simlint: cannot read {path}: {error}", file=sys.stderr)
-            return 2
-
-    violations, done = apply_baseline(args, "simlint", violations, len(files))
-    if done is not None:
-        return done
-
-    if args.json:
-        print(findings_json("simlint", violations, files_checked=len(files)))
-        return 1 if violations else 0
-
-    for violation in violations:
-        print(violation.format())
-    if violations:
-        print(f"\nsimlint: {len(violations)} violation(s) in {len(files)} file(s)")
-        return 1
-    print(f"simlint: {len(files)} file(s) clean")
-    return 0
-
+from repro.analysis.analyze import cli
 
 if __name__ == "__main__":
-    try:
-        sys.exit(main())
-    except BrokenPipeError:  # e.g. piped into `head`
-        sys.exit(0)
+    cli("simlint")

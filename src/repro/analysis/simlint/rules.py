@@ -12,43 +12,15 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.simlint.engine import FileContext, Violation
-
-#: The DES command vocabulary (repro.sim.des) a process generator may yield.
-DES_COMMANDS = {"Delay", "Acquire", "Release", "AcquireSlot", "ReleaseSlot"}
-
-_ACQUIRE_KINDS = {"Acquire": "lock", "AcquireSlot": "slot"}
-_RELEASE_KINDS = {"Release": "lock", "ReleaseSlot": "slot"}
-
-
-class Rule:
-    """Base class: one lint rule with a stable code."""
-
-    code = "SL000"
-    title = "abstract rule"
-    sim_scope_only = False
-    explanation = ""
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Violation]:
-        raise NotImplementedError
-
-    def violation(self, ctx: FileContext, node: ast.AST, message: str) -> Violation:
-        return Violation(
-            ctx.path,
-            getattr(node, "lineno", 1),
-            getattr(node, "col_offset", 0),
-            self.code,
-            message,
-        )
-
-
-def _call_name(func: ast.expr) -> Optional[str]:
-    """Last identifier of a call target (``Delay`` for ``des.Delay(...)``)."""
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
+from repro.analysis.findings import Violation
+from repro.analysis.runner import Rule, SourceFile, under_repro
+from repro.analysis.simrace.model import (
+    DES_COMMANDS,
+    _ACQUIRE_KIND,
+    _RELEASE_KIND,
+    call_name,
+    own_nodes,
+)
 
 
 def _find_div(node: ast.AST) -> Optional[ast.BinOp]:
@@ -57,17 +29,6 @@ def _find_div(node: ast.AST) -> Optional[ast.BinOp]:
         if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Div):
             return child
     return None
-
-
-def _own_nodes(function: ast.AST) -> Iterator[ast.AST]:
-    """Nodes of a function body, excluding nested function/class bodies."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(function))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
 
 
 class WallClockRule(Rule):
@@ -96,7 +57,7 @@ class WallClockRule(Rule):
     _DATETIME_ATTRS = {"now", "utcnow", "today"}
     _DATETIME_VALUES = {"datetime", "datetime.datetime", "datetime.date", "date"}
 
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Violation]:
+    def check(self, tree: ast.Module, ctx: SourceFile) -> Iterator[Violation]:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Attribute):
                 continue
@@ -187,7 +148,7 @@ class UnseededRandomRule(Rule):
             ):
                 yield node
 
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Violation]:
+    def check(self, tree: ast.Module, ctx: SourceFile) -> Iterator[Violation]:
         for bare in self._bare_np_random_nodes(tree):
             yield self.violation(
                 ctx,
@@ -266,7 +227,7 @@ class FloatDivLatencyRule(Rule):
             return target.attr.endswith("_ns")
         return False
 
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Violation]:
+    def check(self, tree: ast.Module, ctx: SourceFile) -> Iterator[Violation]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Assign):
                 if any(self._is_ns_target(t) for t in node.targets):
@@ -289,7 +250,7 @@ class FloatDivLatencyRule(Rule):
                             "are integer ns — use // instead of /",
                         )
             elif isinstance(node, ast.Call):
-                name = _call_name(node.func)
+                name = call_name(node.func)
                 if name == "Delay" or (
                     isinstance(node.func, ast.Attribute)
                     and name in {"advance", "advance_to"}
@@ -306,7 +267,7 @@ class FloatDivLatencyRule(Rule):
                             break
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if node.name.endswith(("_ns", "_cost")):
-                    for child in _own_nodes(node):
+                    for child in own_nodes(node):
                         if isinstance(child, ast.Return) and child.value is not None:
                             div = _find_div(child.value)
                             if div is not None:
@@ -338,7 +299,7 @@ class UnitSuffixRule(Rule):
             return False
         return name.endswith(self._BAD_SUFFIXES)
 
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Violation]:
+    def check(self, tree: ast.Module, ctx: SourceFile) -> Iterator[Violation]:
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if self._flag(node.name):
@@ -392,18 +353,18 @@ class YieldCommandRule(Rule):
         "TypeError at simulation time."
     )
 
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Violation]:
+    def check(self, tree: ast.Module, ctx: SourceFile) -> Iterator[Violation]:
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             yields = [
-                child for child in _own_nodes(node) if isinstance(child, ast.Yield)
+                child for child in own_nodes(node) if isinstance(child, ast.Yield)
             ]
             if not yields:
                 continue
             is_des_process = any(
                 isinstance(y.value, ast.Call)
-                and _call_name(y.value.func) in DES_COMMANDS
+                and call_name(y.value.func) in DES_COMMANDS
                 for y in yields
             )
             if not is_des_process:
@@ -419,7 +380,7 @@ class YieldCommandRule(Rule):
                         "ReleaseSlot commands",
                     )
                 elif isinstance(value, ast.Call):
-                    name = _call_name(value.func)
+                    name = call_name(value.func)
                     if name is not None and name not in DES_COMMANDS:
                         yield self.violation(
                             ctx,
@@ -458,7 +419,7 @@ class LockBalanceRule(Rule):
     #: Bail out of the path walk when the state set explodes.
     _MAX_STATES = 64
 
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Violation]:
+    def check(self, tree: ast.Module, ctx: SourceFile) -> Iterator[Violation]:
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -499,8 +460,8 @@ class LockBalanceRule(Rule):
         call = stmt.value.value
         if not isinstance(call, ast.Call):
             return None
-        name = _call_name(call.func)
-        if name not in _ACQUIRE_KINDS and name not in _RELEASE_KINDS:
+        name = call_name(call.func)
+        if name not in _ACQUIRE_KIND and name not in _RELEASE_KIND:
             return None
         target = ast.unparse(call.args[0]) if call.args else ""
         return name, target
@@ -510,17 +471,17 @@ class LockBalanceRule(Rule):
     ) -> Tuple[Dict[Tuple[str, str], ast.stmt], Set[Tuple[str, str]]]:
         acquires: Dict[Tuple[str, str], ast.stmt] = {}
         releases: Set[Tuple[str, str]] = set()
-        for child in _own_nodes(function):
+        for child in own_nodes(function):
             if not isinstance(child, ast.stmt):
                 continue
             command = self._command_of(child)
             if command is None:
                 continue
             name, target = command
-            if name in _ACQUIRE_KINDS:
-                acquires.setdefault((_ACQUIRE_KINDS[name], target), child)
+            if name in _ACQUIRE_KIND:
+                acquires.setdefault((_ACQUIRE_KIND[name], target), child)
             else:
-                releases.add((_RELEASE_KINDS[name], target))
+                releases.add((_RELEASE_KIND[name], target))
         return acquires, releases
 
     # ---- path-sensitive walk ------------------------------------------- #
@@ -545,12 +506,12 @@ class LockBalanceRule(Rule):
             return states
         name, target = command
         out: Set[FrozenSet[Tuple[str, str]]] = set()
-        if name in _ACQUIRE_KINDS:
-            key = (_ACQUIRE_KINDS[name], target)
+        if name in _ACQUIRE_KIND:
+            key = (_ACQUIRE_KIND[name], target)
             for state in states:
                 out.add(state | {key})
         else:
-            key = (_RELEASE_KINDS[name], target)
+            key = (_RELEASE_KIND[name], target)
             for state in states:
                 out.add(state - {key})
         return out
@@ -611,7 +572,7 @@ class CounterDeclRule(Rule):
 
     _INCREMENT_METHODS = {"add", "record"}
 
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Violation]:
+    def check(self, tree: ast.Module, ctx: SourceFile) -> Iterator[Violation]:
         classes: Dict[str, ast.ClassDef] = {
             node.name: node
             for node in ast.walk(tree)
@@ -711,11 +672,11 @@ class MutableDefaultRule(Rule):
         if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
             return True
         if isinstance(node, ast.Call):
-            name = _call_name(node.func)
+            name = call_name(node.func)
             return name in self._MUTABLE_CALLS
         return False
 
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Violation]:
+    def check(self, tree: ast.Module, ctx: SourceFile) -> Iterator[Violation]:
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
@@ -758,18 +719,8 @@ class FaultRandomnessRule(Rule):
     _NUMPY_LEGACY = UnseededRandomRule._NUMPY_LEGACY
     _NUMPY_ALLOWED = UnseededRandomRule._NUMPY_ALLOWED
 
-    @staticmethod
-    def _in_faults_scope(path: str) -> bool:
-        from pathlib import Path
-
-        parts = Path(path).parts
-        for index, part in enumerate(parts[:-1]):
-            if part == "repro" and parts[index + 1] == "faults":
-                return True
-        return False
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Violation]:
-        if not self._in_faults_scope(ctx.path):
+    def check(self, tree: ast.Module, ctx: SourceFile) -> Iterator[Violation]:
+        if not under_repro(ctx.path, {"faults"}):
             return
         for bare in UnseededRandomRule._bare_np_random_nodes(tree):
             yield self.violation(

@@ -1,109 +1,6 @@
-"""Command-line entry point: ``python -m repro.analysis.simrace <paths>``.
+"""``python -m repro.analysis.simrace <paths>``: the simrace command line."""
 
-Exits 1 when any violation is found, 0 on a clean tree.  ``--json``
-emits the shared findings schema (see :mod:`repro.analysis.findings`).
-"""
-
-from __future__ import annotations
-
-import argparse
-import sys
-from typing import List, Optional
-
-from repro.analysis.findings import (
-    Violation,
-    add_baseline_arguments,
-    apply_baseline,
-    findings_json,
-)
-from repro.analysis.simrace.engine import analyze_file, iter_python_files
-from repro.analysis.simrace.rules import RULES
-
-
-def _list_rules() -> str:
-    lines = ["simrace rule catalogue:", ""]
-    for rule in RULES:
-        lines.append(f"  {rule.code}  {rule.title}")
-        lines.append(f"         {rule.explanation}")
-    return "\n".join(lines)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.simrace",
-        description="Interprocedural concurrency analysis for DES process code.",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to analyze (directories are walked for *.py)",
-    )
-    parser.add_argument(
-        "--select",
-        metavar="CODES",
-        help="comma-separated rule codes to run (default: all), e.g. SR001,SR003",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalogue and exit",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit findings as JSON (shared simlint/simrace schema)",
-    )
-    add_baseline_arguments(parser)
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        print(_list_rules())
-        return 0
-    if not args.paths:
-        parser.error("no paths given (try: python -m repro.analysis.simrace src/)")
-
-    select = None
-    if args.select:
-        select = [code.strip().upper() for code in args.select.split(",") if code.strip()]
-        known = {rule.code for rule in RULES} | {"SR000"}
-        unknown = sorted(set(select) - known)
-        if unknown:
-            parser.error(
-                f"unknown rule code(s): {', '.join(unknown)} (see --list-rules)"
-            )
-
-    files = iter_python_files(args.paths)
-    if not files:
-        print("simrace: no Python files found under the given paths", file=sys.stderr)
-        return 0
-
-    violations: List[Violation] = []
-    for path in files:
-        try:
-            violations.extend(analyze_file(path, select=select))
-        except (OSError, UnicodeDecodeError) as error:
-            print(f"simrace: cannot read {path}: {error}", file=sys.stderr)
-            return 2
-
-    violations, done = apply_baseline(args, "simrace", violations, len(files))
-    if done is not None:
-        return done
-
-    if args.json:
-        print(findings_json("simrace", violations, files_checked=len(files)))
-        return 1 if violations else 0
-
-    for violation in violations:
-        print(violation.format())
-    if violations:
-        print(f"\nsimrace: {len(violations)} violation(s) in {len(files)} file(s)")
-        return 1
-    print(f"simrace: {len(files)} file(s) clean")
-    return 0
-
+from repro.analysis.analyze import cli
 
 if __name__ == "__main__":
-    try:
-        sys.exit(main())
-    except BrokenPipeError:  # e.g. piped into `head`
-        sys.exit(0)
+    cli("simrace")

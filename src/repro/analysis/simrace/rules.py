@@ -21,6 +21,7 @@ import ast
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.findings import Violation
+from repro.analysis.runner import Rule
 from repro.analysis.simrace.model import (
     MAX_INLINE_DEPTH,
     Access,
@@ -38,30 +39,10 @@ from repro.analysis.simrace.model import (
 class AnalysisContext:
     """Bundle handed to every rule: the model, the traces, and the file."""
 
-    def __init__(self, model: ModuleModel, traces: List[ProcessTrace], file) -> None:
+    def __init__(self, model: ModuleModel, traces: List[ProcessTrace], path: str) -> None:
         self.model = model
         self.traces = traces
-        self.file = file
-
-
-class Rule:
-    """Base class: subclasses set the metadata and implement ``check``."""
-
-    code = "SR000"
-    title = "abstract rule"
-    explanation = ""
-
-    def check(self, ctx: AnalysisContext) -> Iterator[Violation]:
-        raise NotImplementedError
-
-    def violation(self, ctx: AnalysisContext, node: ast.AST, message: str) -> Violation:
-        return Violation(
-            path=ctx.file.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            code=self.code,
-            message=message,
-        )
+        self.path = path
 
 
 class RmwAcrossYieldRule(Rule):

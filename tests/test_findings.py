@@ -2,11 +2,14 @@
 
 Covers the edge cases the per-tool suites don't: duplicate findings on
 one line, findings that move between lines, baselines naming deleted
-files, the ``SUP001`` stale-suppression audit, and the umbrella runner's
-exit-code contract when an analyzer crashes mid-run.
+files, the ``SUP001`` stale-suppression audit, the umbrella runner's
+exit-code contract when an analyzer crashes mid-run, and the runner's
+promise to do each piece of work once per run.
 """
 
 import argparse
+import ast
+import collections
 import json
 import pathlib
 import subprocess
@@ -335,3 +338,90 @@ class TestSharedCLIEdgeCases:
         assert payload["count"] == 0
         assert payload["files_checked"] == 1
         assert payload["findings"] == []
+
+    @pytest.mark.parametrize("tool,_code", TOOL_CLIS)
+    def test_overlapping_paths_check_each_file_once(self, tool, _code, tmp_path):
+        """A file reached through two path arguments is one file."""
+        fixture = tmp_path / "repro" / "sim" / "x.py"
+        fixture.parent.mkdir(parents=True)
+        fixture.write_text("import time\n\ndef stamp():\n    return time.time()\n")
+        overlapping = ["repro", "repro/sim/x.py", "repro/sim"]
+        result = _run_tool(tool, ["--json", *overlapping], tmp_path)
+        payload = json.loads(result.stdout)
+        assert payload["files_checked"] == 1
+        if tool == "simlint":
+            assert [f["code"] for f in payload["findings"]] == ["SL001"]
+        text = _run_tool(tool, overlapping, tmp_path)
+        assert "in 1 file(s)" in text.stdout or "1 file(s) clean" in text.stdout
+
+    def test_overlapping_paths_in_the_umbrella(self, tmp_path):
+        fixture = tmp_path / "repro" / "sim" / "x.py"
+        fixture.parent.mkdir(parents=True)
+        fixture.write_text("import time\n\ndef stamp():\n    return time.time()\n")
+        result = _run_analyze(["--json", "repro", "repro/sim/x.py"], tmp_path)
+        payload = json.loads(result.stdout)
+        assert payload["files_checked"] == 1
+        assert [f["code"] for f in payload["findings"]] == ["SL001"]
+
+
+# --------------------------------------------------------------------- #
+# One run does each piece of work once
+# --------------------------------------------------------------------- #
+
+
+def test_one_parse_per_file_and_one_program_per_run(tmp_path):
+    """The umbrella with --check-suppressions parses each file once and
+    builds the whole-program model once for all six tools and the audit."""
+    from repro.analysis.simeffect import model
+
+    files = {
+        "repro/sim/a.py": "def f(a, b):\n    return a + b  # simlint: disable=SL003\n",
+        "repro/host/b.py": "def twice(items):\n    return [i * 2 for i in items]\n",
+        "repro/c.py": "X = 1\n",
+    }
+    for name, source in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(source)
+    spied = {model.build_program.__code__: "build", ast.parse.__code__: "parse"}
+    calls = []
+
+    def spy(frame, event, _arg):
+        if event == "call" and frame.f_code in spied:
+            local = frame.f_locals
+            calls.append((spied[frame.f_code], local.get("filename"), local.get("mode")))
+
+    sys.setprofile(spy)
+    try:
+        status = analyze.main(["--check-suppressions", str(tmp_path / "repro")])
+    finally:
+        sys.setprofile(None)
+    assert status == 1  # the stale SL003 marker
+    assert [call for call in calls if call[0] == "build"] == [("build", None, None)]
+    parsed = collections.Counter(
+        filename for kind, filename, mode in calls if kind == "parse" and mode == "exec"
+    )
+    assert parsed == {str(tmp_path / name): 1 for name in files}
+
+
+def test_several_runs_in_one_process(tmp_path):
+    """``python -m repro.analysis "CMD" ...`` runs each command line in turn
+    and exits with the worst status; an unknown command is a usage error."""
+    fixture = tmp_path / "repro" / "sim" / "x.py"
+    fixture.parent.mkdir(parents=True)
+    fixture.write_text("import time\n\ndef stamp():\n    return time.time()\n")
+
+    def run(*commands):
+        return subprocess.run(
+            [sys.executable, "-m", "repro.analysis", *commands],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={"PYTHONPATH": str(SRC)},
+        )
+
+    result = run("simrace repro", "simlint repro", "simcost --check-config repro")
+    assert result.returncode == 1
+    assert result.stdout.index("simrace: 1 file(s) clean") < result.stdout.index("SL001")
+    assert "simcost: 1 file(s) clean" in result.stdout
+    assert run("simrace repro").returncode == 0
+    assert run("simlnt repro").returncode == 2

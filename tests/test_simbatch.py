@@ -35,7 +35,7 @@ from repro.analysis.simbatch import (
     opportunity_violations,
     report_for_paths,
 )
-from repro.analysis.simbatch.engine import read_sources
+from repro.analysis.simbatch import read_sources
 from repro.batch import COMMUTATIVE_OPS, batchable, reduction
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"

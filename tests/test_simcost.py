@@ -28,7 +28,7 @@ from repro.analysis.simcost import (
     config_violations,
     report_for_paths,
 )
-from repro.analysis.simcost.engine import read_sources
+from repro.analysis.simcost import read_sources
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 

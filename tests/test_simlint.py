@@ -10,7 +10,7 @@ import sys
 import textwrap
 
 from repro.analysis.simlint import RULES, Violation, lint_source
-from repro.analysis.simlint.engine import infer_sim_scope
+from repro.analysis.simlint import infer_sim_scope
 
 SIM_PATH = "repro/sim/fake.py"
 
