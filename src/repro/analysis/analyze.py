@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -62,6 +63,9 @@ TOOLS: Tuple[Tool, ...] = (
 )
 
 TOOLS_BY_NAME: Dict[str, Tool] = {tool.name: tool for tool in TOOLS}
+
+#: "simlint + simrace + ...": the tools one umbrella run covers, for help texts.
+TOOL_NAMES = " + ".join(TOOLS_BY_NAME)
 
 #: The crash "path" of a whole-program tool.
 WHOLE_PROGRAM = "<whole-program>"
@@ -280,6 +284,11 @@ def run_tool(
         print(list_rules(tool))
         return 0
     report = getattr(args, "report", None)
+    if report and os.path.isdir(report):
+        parser.error(
+            f"--report takes the output FILE, not a directory: {report} "
+            f"(try: --report {tool.report.default_file} {report})"
+        )
     if not args.paths:
         if not report:
             example = "src/repro" if tool.whole_program else "src/"
@@ -416,10 +425,7 @@ def main(
     if tool is None:
         parser = argparse.ArgumentParser(
             prog="python -m repro.analysis.analyze",
-            description=(
-                "Run simlint + simrace + simflow + simeffect + simcost + "
-                "simbatch and merge their findings."
-            ),
+            description=f"Run {TOOL_NAMES} and merge their findings.",
         )
         configure_parser(parser)
         return run(parser.parse_args(argv), session)

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.memory_system import MemorySystem
-from repro.engine import OP_STORE, TRACE_DTYPE, AccessTrace, replay, replay_enabled
+from repro.engine import OP_STORE, TRACE_DTYPE, AccessTrace, replay
 from repro.workloads.graphs import CSRGraph
 
 
@@ -53,7 +53,6 @@ class GraphEngine:
             -(-vertex_bytes // page), name=f"{name}.state"
         )
         self._line = system.config.geometry.cacheline_size
-        self._per_line = self._line // self.ELEMENT_SIZE
 
     # ------------------------------------------------------------------ #
     # Access charging helpers
@@ -66,23 +65,6 @@ class GraphEngine:
         else:
             self.system.load(addr, self.ELEMENT_SIZE)
 
-    def _stream_edges(self, first_edge: int, count: int) -> None:
-        """Charge a sequential cache-line stream over an edge range."""
-        if count <= 0:
-            return
-        start = first_edge * self.ELEMENT_SIZE
-        end = (first_edge + count) * self.ELEMENT_SIZE
-        line = self._line
-        addr = (start // line) * line
-        while addr < end:
-            self.system.load(self.edges_region.addr(addr), line)
-            addr += line
-
-    def _touch_indptr(self, vertex: int) -> None:
-        self.system.load(
-            self.indptr_region.addr(vertex * self.ELEMENT_SIZE), self.ELEMENT_SIZE
-        )
-
     # ------------------------------------------------------------------ #
     # Trace compilation (engine phase 1)
     # ------------------------------------------------------------------ #
@@ -90,8 +72,8 @@ class GraphEngine:
     def _iteration_trace(self, target_writes: bool) -> AccessTrace:
         """One iteration's access stream as a flat trace.
 
-        Per vertex, in the scalar charging order: indptr load, own-state
-        load, sequential edge-line stream, and — with ``target_writes``
+        Per vertex: indptr load, own-state load, sequential edge-line
+        stream, and — with ``target_writes``
         (PageRank's push phase) — one state store per out-edge target.
         The stream depends only on the graph structure and geometry, so
         it is compiled once and cached on the graph object (the cache is
@@ -179,15 +161,14 @@ class GraphEngine:
         graph = self.graph
         n = graph.num_vertices
         ranks = np.full(n, 1.0 / n, dtype=np.float64)
-        out_degree = np.maximum(1, np.diff(graph.indptr)).astype(np.float64)
-        use_engine = charge_accesses and replay_enabled(self.system)
-        if use_engine:
+        degrees = np.diff(graph.indptr)
+        out_degree = np.maximum(1, degrees).astype(np.float64)
+        if charge_accesses:
             # Replay the compiled iteration stream and do the push-phase
             # math with one edge-ordered scatter-add: np.add.at applies
             # updates in edge order, the same float accumulation sequence
-            # as the per-vertex loop, so the ranks are bit-identical.
+            # as the per-vertex loop below, so the ranks are bit-identical.
             trace = self._iteration_trace(target_writes=True)
-            degrees = np.diff(graph.indptr)
             for _ in range(iterations):
                 replay(self.system, trace)
                 next_ranks = np.zeros(n, dtype=np.float64)
@@ -197,25 +178,17 @@ class GraphEngine:
                 dangling = ranks[degrees == 0].sum()
                 ranks = (1.0 - damping) / n + damping * (next_ranks + dangling / n)
             return ranks
+        # The reference math, one vertex at a time, with no memory touches.
         for _ in range(iterations):
             next_ranks = np.zeros(n, dtype=np.float64)
             for vertex in range(n):
                 first = int(graph.indptr[vertex])
                 last = int(graph.indptr[vertex + 1])
-                degree = last - first
-                if charge_accesses:
-                    self._touch_indptr(vertex)
-                    self._touch_state(vertex, is_write=False)  # read own rank
-                    self._stream_edges(first, degree)
-                if degree == 0:
+                if last == first:
                     continue
                 share = ranks[vertex] / out_degree[vertex]
-                targets = graph.indices[first:last]
-                np.add.at(next_ranks, targets, share)
-                if charge_accesses:
-                    for target in targets:
-                        self._touch_state(int(target), is_write=True)
-            dangling = ranks[np.diff(graph.indptr) == 0].sum()
+                np.add.at(next_ranks, graph.indices[first:last], share)
+            dangling = ranks[degrees == 0].sum()
             ranks = (1.0 - damping) / n + damping * (next_ranks + dangling / n)
         return ranks
 
@@ -326,42 +299,25 @@ class GraphEngine:
         # Propagate over both edge directions (weak connectivity).
         sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
         targets = graph.indices
-        use_engine = charge_accesses and replay_enabled(self.system)
-        scan_trace = self._iteration_trace(target_writes=False) if use_engine else None
+        if charge_accesses:
+            scan_trace = self._iteration_trace(target_writes=False)
         state_base = self.state_region.addr(0)
         for _iteration in range(max_iterations):
-            changed = False
-            if use_engine:
+            if charge_accesses:
                 replay(self.system, scan_trace)
-            else:
-                for vertex in range(n):
-                    first = int(graph.indptr[vertex])
-                    last = int(graph.indptr[vertex + 1])
-                    if charge_accesses:
-                        self._touch_indptr(vertex)
-                        self._touch_state(vertex, is_write=False)
-                        self._stream_edges(first, last - first)
             # Vectorized min-label exchange along every edge (both ways).
             new_labels = labels.copy()
             np.minimum.at(new_labels, targets, labels[sources])
             np.minimum.at(new_labels, sources, labels[targets])
-            if charge_accesses:
-                updated = np.nonzero(new_labels != labels)[0]
-                if use_engine:
-                    if updated.shape[0]:
-                        replay(
-                            self.system,
-                            AccessTrace.stores(
-                                state_base + updated * self.ELEMENT_SIZE,
-                                self.ELEMENT_SIZE,
-                            ),
-                        )
-                else:
-                    for vertex in updated:
-                        self._touch_state(int(vertex), is_write=True)
-            if not np.array_equal(new_labels, labels):
-                changed = True
+            updated = np.nonzero(new_labels != labels)[0]
+            if charge_accesses and updated.shape[0]:
+                replay(
+                    self.system,
+                    AccessTrace.stores(
+                        state_base + updated * self.ELEMENT_SIZE, self.ELEMENT_SIZE
+                    ),
+                )
             labels = new_labels
-            if not changed:
+            if not updated.shape[0]:
                 break
         return labels

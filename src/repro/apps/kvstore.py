@@ -15,15 +15,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.memory_system import MemorySystem
-from repro.engine import OP_LOAD, replay, replay_enabled
+from repro.engine import OP_LOAD, replay
 from repro.sim.stats import LatencyStats
-from repro.workloads.ycsb import (
-    COMPILE_CHUNK_OPS,
-    OpType,
-    YCSBWorkload,
-    compile_trace,
-    generate_ops,
-)
+from repro.workloads.ycsb import COMPILE_CHUNK_OPS, YCSBWorkload, compile_trace
+
+# The op stream's reference generator, kept importable here:
+# perfbench/run.py's traced batch wraps ``kvstore.generate_ops`` by name.
+from repro.workloads.ycsb import generate_ops  # noqa: F401
 
 
 class KVStore:
@@ -96,42 +94,16 @@ def run_ycsb(
     distribution draws from; inserts (workload D) go to fresh keys above
     it, so capacity must cover ``num_records + expected inserts``.
 
-    When the system's replay engine is on, the op stream is compiled in
-    chunks and replayed through :func:`repro.engine.replay` instead, with
-    the same latencies, counters and system state.
+    The op stream (:func:`~repro.workloads.ycsb.generate_ops`') is
+    compiled one chunk at a time, at most
+    :data:`~repro.workloads.ycsb.COMPILE_CHUNK_OPS` ops and never more than
+    the engine's ``chunk_ops``, and each chunk is replayed through
+    :func:`repro.engine.replay`; every read counts one get and every
+    update or insert one put.
     """
     if num_records is None:
         num_records = store.capacity_records // 2
     stats = LatencyStats(workload.name)
-    if replay_enabled(store.system):
-        _replay_ycsb(store, workload, num_ops, num_records, theta, seed, stats)
-        return stats
-    for op, key in generate_ops(workload, num_ops, num_records, theta=theta, seed=seed):
-        if key >= store.capacity_records:
-            key = key % store.capacity_records
-        if op is OpType.READ:
-            _value, latency = store.get(key)
-        else:  # UPDATE and INSERT are both stores of one record
-            latency = store.put(key)
-        stats.record(latency)
-    return stats
-
-
-def _replay_ycsb(
-    store: KVStore,
-    workload: YCSBWorkload,
-    num_ops: int,
-    num_records: int,
-    theta: float,
-    seed: int,
-    stats: LatencyStats,
-) -> None:
-    """:func:`run_ycsb` through the replay engine, one compiled chunk at a
-    time; same latencies, counters and system state as the scalar loop.
-
-    Chunks hold at most :data:`~repro.workloads.ycsb.COMPILE_CHUNK_OPS` ops
-    and never more than the engine's own ``chunk_ops``.
-    """
     system = store.system
     loads, stores = system._loads, system._stores
     for trace in compile_trace(
@@ -150,13 +122,14 @@ def _replay_ycsb(
         try:
             result = replay(system, trace)
         except BaseException:
-            # The scalar loop counts an op before its access, and the
-            # replay flushes mem.loads/stores (counted the same way) before
-            # it raises, so they say how many of this chunk's ops ran.
+            # mem.loads/stores count an op before its access, and the
+            # replay flushes them before it raises, so they say how many
+            # of this chunk's ops ran, the raising one included.
             _count_ops(store, reads[: loads.value + stores.value - issued])
             raise
         _count_ops(store, reads)
         stats.extend(result.latencies.tolist())
+    return stats
 
 
 def _count_ops(store: KVStore, reads: np.ndarray) -> None:

@@ -43,13 +43,14 @@ def engine_default_enabled() -> bool:
 class EngineConfig:
     """Trace-compiled replay engine (repro.engine).
 
-    When enabled, workloads that can compile their access stream to a flat
-    trace replay it through :func:`repro.engine.replay`, which interprets
-    the trace with a fused fast path for DRAM-resident accesses and
-    delegates every other access to the unmodified scalar hierarchy.  The
-    engine is an execution strategy, not a model change: adopting cells
-    must produce byte-identical results (tests/test_engine_equivalence.py
-    and the sweep byte-identity gate enforce this).
+    Workloads compile their access stream to a flat trace and replay it
+    through :func:`repro.engine.replay`.  When enabled, the replay runs
+    DRAM-resident accesses on a fused fast path and delegates every other
+    access to the unmodified scalar hierarchy; when disabled, it delegates
+    every access.  The engine is an execution strategy, not a model
+    change: results are byte-identical either way
+    (tests/test_engine_equivalence.py and the sweep byte-identity gate
+    enforce this).
     """
 
     enabled: bool = True

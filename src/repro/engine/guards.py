@@ -20,9 +20,10 @@ static analysis assumes: no race detector shadowing field writes, no
 domain-tag checking (the fused path skips the no-op checks), no clock
 sanitizer or armed power-loss deadline (the fused path batches clock
 advances), and no sequential-prefetch stream detection (a per-access
-hook on the scalar path).  When any blocker is present the engine falls
-back to replaying the whole trace through ``system._access`` — slower,
-never wrong.
+hook on the scalar path).  A config with the engine switched off is one
+more blocker.  When any blocker is present the engine falls back to
+replaying the whole trace through ``system._access`` — slower, never
+wrong.
 """
 
 from __future__ import annotations
@@ -108,9 +109,9 @@ def fused_blockers(system: Any) -> List[str]:
     """Why ``system`` cannot take the fused fast path (empty = eligible).
 
     Each blocker names a dynamic feature whose semantics the fused path
-    does not replicate; the interpreter degrades to per-op scalar
-    delegation whenever any are present, so enabling the engine is
-    always safe — just not always fast.
+    does not replicate, or the config switching the engine off; the
+    interpreter delegates every row to the scalar path whenever any are
+    present, so enabling the engine is always safe — just not always fast.
     """
     # Imports are local: repro.core imports repro.config, which engine
     # users construct first; keeping guards import-light avoids cycles.
@@ -123,6 +124,8 @@ def fused_blockers(system: Any) -> List[str]:
     from repro.host.tlb import TLB
 
     blockers: List[str] = []
+    if not system.config.engine.enabled:
+        blockers.append("engine disabled by config")
     cls = type(system)
 
     # The fused path re-implements _access/_access_page DRAM-hit
@@ -168,10 +171,3 @@ def fused_blockers(system: Any) -> List[str]:
 def fused_supported(system: Any) -> bool:
     """True when the fused fast path is exact for ``system``."""
     return not fused_blockers(system)
-
-
-def engine_enabled(system: Any) -> bool:
-    """True when ``system``'s config selects the replay engine."""
-    config = getattr(system, "config", None)
-    engine = getattr(config, "engine", None)
-    return bool(engine is not None and engine.enabled)

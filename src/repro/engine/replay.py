@@ -47,10 +47,10 @@ from typing import Any, Dict, List
 
 import numpy as np
 
-from repro.engine.guards import engine_enabled, fused_blockers
+from repro.engine.guards import fused_blockers
 from repro.engine.trace import OP_STORE, AccessTrace
 
-__all__ = ["ReplayResult", "replay", "replay_enabled"]
+__all__ = ["ReplayResult", "replay"]
 
 
 @dataclass
@@ -63,17 +63,13 @@ class ReplayResult:
     fused_ops: int = 0
     #: Rows delegated to the scalar hierarchy.
     delegated_ops: int = 0
-    #: Why fused mode was off for the whole replay ([] when it was on).
+    #: Why fused mode was off for the whole replay ([] when it was on),
+    #: e.g. "engine disabled by config".
     blockers: List[str] = field(default_factory=list)
 
     @property
     def total_ops(self) -> int:
         return self.fused_ops + self.delegated_ops
-
-
-def replay_enabled(system: Any) -> bool:
-    """True when ``system`` opts into trace-compiled replay."""
-    return engine_enabled(system)
 
 
 def replay(system: Any, trace: AccessTrace) -> ReplayResult:
@@ -92,7 +88,8 @@ def replay(system: Any, trace: AccessTrace) -> ReplayResult:
 
 
 def _replay_scalar(system: Any, rows: np.ndarray, latencies: np.ndarray) -> None:
-    """Degraded mode: every row through the unmodified scalar path."""
+    """Every row through the unmodified scalar path (engine off, or a
+    blocker present): the reference semantics of :func:`replay`."""
     access = system._access
     addr_list = rows["addr"].astype(np.int64).tolist()
     size_list = rows["size"].astype(np.int64).tolist()

@@ -10,32 +10,30 @@ field  dtype  meaning
 ====== ====== =====================================================
 addr   <u8    virtual byte address
 size   <u4    access size in bytes
-op     <u1    0 = load, 1 = store (workloads.trace's encoding)
+op     <u1    0 = load, 1 = store
 thread <u2    logical thread id (0 for single-threaded workloads)
 ts     <u8    issue timestamp hint in ns (0 when untimed)
 ====== ====== =====================================================
 
 ``thread`` and ``ts`` are carried for multi-threaded compilers and for
-interop with externally captured traces; the single-clock interpreter
-replays rows strictly in array order, which is the order the scalar
-generator would have issued them.
+externally captured traces; the single-clock interpreter replays rows
+strictly in array order, which is the order the workload issues them.
 
-The legacy per-region trace container (:class:`repro.workloads.trace.Trace`)
-stores (op, offset, size) triples relative to a region base; the
-converters here bridge the two formats so recorded traces can be
-replayed through the vectorized engine and vice versa.
+This is the one trace format: workload compilers, the live
+:class:`TraceRecorder`, :func:`repro.workloads.synthetic.synthetic_trace`
+and ``.npz`` files (:meth:`AccessTrace.save`/:meth:`AccessTrace.load`)
+all produce it, and :func:`repro.engine.replay` runs it.  Addresses are
+absolute, so a trace replays on any system that maps the same regions
+in the same order.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (workloads import us)
-    from repro.workloads.trace import Trace
-
-#: Operation codes; numerically identical to repro.workloads.trace's.
+#: Operation codes of the ``op`` column.
 OP_LOAD = 0
 OP_STORE = 1
 
@@ -114,13 +112,6 @@ class AccessTrace:
         rows["op"][1::2] = OP_STORE
         return cls(rows).validate()
 
-    @classmethod
-    def concat(cls, traces: Sequence["AccessTrace"]) -> "AccessTrace":
-        """Concatenate traces in order (program order is preserved)."""
-        if not traces:
-            return cls(np.zeros(0, dtype=TRACE_DTYPE))
-        return cls(np.concatenate([trace.rows for trace in traces]))
-
     # ------------------------------------------------------------------ #
     # Validation / persistence
     # ------------------------------------------------------------------ #
@@ -145,39 +136,6 @@ class AccessTrace:
             return cls(np.ascontiguousarray(archive["rows"], dtype=TRACE_DTYPE)).validate()
 
     # ------------------------------------------------------------------ #
-    # Interop with the legacy per-region trace container
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_legacy(cls, trace: "Trace", base_addr: int) -> "AccessTrace":
-        """Lift a :class:`repro.workloads.trace.Trace` to absolute addresses."""
-        ops: List[Tuple[int, int, int]] = trace.ops
-        count = len(ops)
-        rows = np.zeros(count, dtype=TRACE_DTYPE)
-        if count:
-            columns = np.asarray(ops, dtype=np.int64)
-            rows["op"] = columns[:, 0].astype(np.uint8)
-            rows["addr"] = (columns[:, 1] + base_addr).astype(np.uint64)
-            rows["size"] = columns[:, 2].astype(np.uint32)
-        return cls(rows).validate()
-
-    def to_legacy(self, base_addr: int, name: str = "compiled") -> "Trace":
-        """Lower to a region-relative legacy trace (for Trace.replay/save)."""
-        from repro.workloads.trace import Trace
-
-        offsets = self.rows["addr"].astype(np.int64) - base_addr
-        if offsets.shape[0] and int(offsets.min()) < 0:
-            raise ValueError("trace contains addresses below base_addr")
-        triples = list(
-            zip(
-                self.rows["op"].astype(int).tolist(),
-                offsets.tolist(),
-                self.rows["size"].astype(int).tolist(),
-            )
-        )
-        return Trace(name=name, ops=triples)
-
-    # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
 
@@ -197,3 +155,34 @@ class AccessTrace:
             f"AccessTrace(ops={len(self)}, loads={self.num_loads}, "
             f"stores={self.num_stores})"
         )
+
+
+class TraceRecorder:
+    """Wraps a memory system, recording every load/store it forwards.
+
+    ``trace`` is the recorded stream as an :class:`AccessTrace`, ready for
+    :func:`repro.engine.replay` or :meth:`AccessTrace.save`.
+    """
+
+    def __init__(self, system: Any) -> None:
+        self.system = system
+        self._addrs: List[int] = []
+        self._sizes: List[int] = []
+        self._ops: List[int] = []
+
+    def _record(self, addr: int, size: int, op: int) -> None:
+        self._addrs.append(addr)
+        self._sizes.append(size)
+        self._ops.append(op)
+
+    def load(self, addr: int, size: int):
+        self._record(addr, size, OP_LOAD)
+        return self.system.load(addr, size)
+
+    def store(self, addr: int, size: int, data=None):
+        self._record(addr, size, OP_STORE)
+        return self.system.store(addr, size, data)
+
+    @property
+    def trace(self) -> AccessTrace:
+        return AccessTrace.from_columns(self._addrs, self._sizes, self._ops)

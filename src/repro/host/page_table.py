@@ -69,14 +69,6 @@ class PageTableEntry:
         )
 
 
-class PageFault(Exception):
-    """Raised on access to a non-present page (paging baselines)."""
-
-    def __init__(self, vpn: VPN) -> None:
-        super().__init__(f"page fault on vpn {vpn}")
-        self.vpn = vpn
-
-
 @counters(
     owner="page_table",
     conserve=("walk: page_table.walks == 1",),

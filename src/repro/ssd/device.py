@@ -512,11 +512,6 @@ class ByteAddressableSSD:
         instant; every later transaction raises ``DeviceLostError``."""
         self.pcie.kill_link()
 
-    @property
-    def is_failed(self) -> bool:
-        """True once the device has fail-stopped (link down)."""
-        return self.pcie.is_down
-
     def crash(self) -> None:
         """Power failure.  Battery-backed controllers destage dirty cache
         pages to flash; without the battery the cache contents are lost."""

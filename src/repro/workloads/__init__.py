@@ -25,8 +25,13 @@ from repro.workloads.oltp import (
     TransactionSpec,
     generate_transactions,
 )
-from repro.workloads.synthetic import random_access, sequential_access, warm_up
-from repro.workloads.trace import Trace, TraceRecorder, synthetic_trace
+from repro.engine import TraceRecorder
+from repro.workloads.synthetic import (
+    random_access,
+    sequential_access,
+    synthetic_trace,
+    warm_up,
+)
 from repro.workloads.ycsb import (
     RECORD_SIZE,
     YCSB_A,
@@ -77,7 +82,6 @@ __all__ = [
     "YCSB_D",
     "RECORD_SIZE",
     "generate_ops",
-    "Trace",
     "TraceRecorder",
     "synthetic_trace",
 ]

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.memory_system import MappedRegion, MemorySystem
-from repro.engine import AccessTrace, replay, replay_enabled
+from repro.engine import AccessTrace, replay
 
 
 def compile_trace(
@@ -26,8 +26,8 @@ def compile_trace(
 ) -> AccessTrace:
     """Compile the RandomAccess stream to a flat trace (engine phase 1).
 
-    Draws indices then values in the same order as :func:`run_gups`, so
-    a shared generator stays stream-compatible between the two paths;
+    Draws indices then values, the order :func:`run_gups`' verify loop
+    draws them in, so a shared generator leaves both in the same state;
     each update becomes a load/store pair at the same word address.
     """
     if num_updates <= 0:
@@ -73,38 +73,27 @@ def run_gups(
     """Run the RandomAccess kernel against a mapped table.
 
     Each update is a load-xor-store of one 64-bit word at a random table
-    index.  With ``verify`` (and payload tracking on) the xor is computed
-    on real data, so the table contents can be checked afterwards.
+    index, compiled by :func:`compile_trace` and replayed.  With
+    ``verify`` (and payload tracking on) a per-update loop computes the
+    xor on real data instead, so the table contents can be checked
+    afterwards.
     """
     if num_updates <= 0:
         raise ValueError(f"num_updates must be > 0, got {num_updates}")
     if rng is None:
         rng = np.random.default_rng(1234)
-    if not verify and replay_enabled(system):
-        trace = compile_trace(region, num_updates, rng)
-        start_ns = system.clock.now
-        start_moves = system.page_movements
-        replay(system, trace)
-        return GUPSResult(
-            updates=num_updates,
-            elapsed_ns=system.clock.now - start_ns,
-            page_movements=system.page_movements - start_moves,
-        )
-    words = region.size // 8
-    indices = rng.integers(0, words, size=num_updates)
-    values = rng.integers(0, 2**63, size=num_updates, dtype=np.uint64)
     start_ns = system.clock.now
     start_moves = system.page_movements
     if verify:
+        words = region.size // 8
+        indices = rng.integers(0, words, size=num_updates)
+        values = rng.integers(0, 2**63, size=num_updates, dtype=np.uint64)
         for index, value in zip(indices, values):
             addr = region.addr(int(index) * 8)
             current, _ = system.load_u64(addr)
             system.store_u64(addr, current ^ int(value))
     else:
-        for index in indices:
-            addr = region.addr(int(index) * 8)
-            system.load(addr, 8)
-            system.store(addr, 8)
+        replay(system, compile_trace(region, num_updates, rng))
     return GUPSResult(
         updates=num_updates,
         elapsed_ns=system.clock.now - start_ns,

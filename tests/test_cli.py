@@ -43,3 +43,14 @@ def test_all_writes_file(tmp_path, monkeypatch):
     target = tmp_path / "out.md"
     assert main(["all", str(target)]) == 0
     assert target.read_text() == "# stub results\n"
+
+
+def test_analyze_help_names_every_tool(capsys):
+    from repro.analysis.analyze import TOOLS
+
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    analyze_help = " ".join(out[out.index("    analyze") : out.index("    faults")].split())
+    for tool in TOOLS:
+        assert tool.name in analyze_help, tool.name

@@ -34,8 +34,9 @@ from repro.config import EngineConfig, small_config
 from repro.core.hierarchy import FlatFlash
 from repro.engine import AccessTrace, replay
 from repro.sim import domain_tags, sanitizers
+from repro.sim.stats import LatencyStats
 from repro.workloads.graphs import power_law_graph
-from repro.workloads.ycsb import YCSB_A, YCSB_B, YCSB_D
+from repro.workloads.ycsb import YCSB_A, YCSB_B, YCSB_D, OpType, generate_ops
 
 # The package re-exports the replay *function* under the submodule's
 # name, so fetch the module itself for monkeypatching internals.
@@ -331,6 +332,15 @@ def test_fused_rows_make_no_bookkeeping_calls():
 graph_module = importlib.import_module("repro.apps.graph_analytics")
 
 
+def assert_every_row_delegated(replays):
+    """Engine off: the same compiled stream ran, with no row fused."""
+    assert replays, "the engine-off run replayed nothing"
+    for result in replays:
+        assert result.fused_ops == 0
+        assert result.delegated_ops == result.total_ops > 0
+        assert "engine disabled by config" in result.blockers
+
+
 def run_graph(algorithm, engine, chunk_ops):
     """One graph app on FlatFlash; its footprint is ~4x DRAM."""
     graph = power_law_graph(800, avg_degree=6.0, seed=17)
@@ -359,7 +369,8 @@ def test_graph_engine_matches_scalar(algorithm, chunk_ops, monkeypatch):
 
     monkeypatch.setattr(graph_module, "replay", spying)
     scalar_values, scalar_state = run_graph(algorithm, engine=False, chunk_ops=chunk_ops)
-    assert replays == []
+    assert_every_row_delegated(replays)
+    replays.clear()
     engine_values, engine_state = run_graph(algorithm, engine=True, chunk_ops=chunk_ops)
     assert engine_values.tobytes() == scalar_values.tobytes()
     for key in scalar_state:
@@ -371,7 +382,7 @@ def test_graph_engine_matches_scalar(algorithm, chunk_ops, monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# run_ycsb: compiled chunks through the engine vs the scalar KV loop
+# run_ycsb, engine on and off, vs the per-op reference KV driver
 # --------------------------------------------------------------------- #
 
 kvstore_module = importlib.import_module("repro.apps.kvstore")
@@ -397,7 +408,7 @@ def ycsb_state(store):
 
 
 def spy_replays(monkeypatch):
-    """Record every ReplayResult run_ycsb's engine path produces."""
+    """Record every ReplayResult run_ycsb produces."""
     results = []
     real = kvstore_module.replay
 
@@ -410,10 +421,28 @@ def spy_replays(monkeypatch):
     return results
 
 
-def assert_ycsb_equivalent(kind_name, workload, num_ops=600, seed=3, chunk_ops=64):
+def reference_run_ycsb(store, workload, num_ops, num_records, seed):
+    """The reference driver: one get or put per ``generate_ops`` op, keys
+    wrapped to the store's capacity, each op counted before its access."""
+    stats = LatencyStats(workload.name)
+    for op, key in generate_ops(workload, num_ops, num_records, seed=seed):
+        if key >= store.capacity_records:
+            key = key % store.capacity_records
+        if op is OpType.READ:
+            _value, latency = store.get(key)
+        else:
+            latency = store.put(key)
+        stats.record(latency)
+    return stats
+
+
+def assert_ycsb_equivalent(
+    kind_name, workload, num_ops=600, seed=3, chunk_ops=64, engine_on=True
+):
+    """``run_ycsb`` matches the per-op reference driver exactly."""
     scalar_store = build_store(kind_name, engine=False)
-    engine_store = build_store(kind_name, engine=True, chunk_ops=chunk_ops)
-    scalar = run_ycsb(scalar_store, workload, num_ops, KV_RECORDS, seed=seed)
+    engine_store = build_store(kind_name, engine=engine_on, chunk_ops=chunk_ops)
+    scalar = reference_run_ycsb(scalar_store, workload, num_ops, KV_RECORDS, seed=seed)
     engine = run_ycsb(engine_store, workload, num_ops, KV_RECORDS, seed=seed)
     assert engine.samples == scalar.samples, "samples diverged"
     assert (engine.count, engine.total, engine.minimum, engine.maximum) == (
@@ -432,8 +461,13 @@ def assert_ycsb_equivalent(kind_name, workload, num_ops=600, seed=3, chunk_ops=6
 @pytest.mark.parametrize("workload", [YCSB_A, YCSB_B, YCSB_D], ids=lambda w: w.name)
 def test_run_ycsb_engine_matches_scalar(kind_name, workload, monkeypatch):
     replays = spy_replays(monkeypatch)
+    chunks = -(-600 // 64)  # one replay per compiled chunk
+    assert_ycsb_equivalent(kind_name, workload, engine_on=False)
+    assert len(replays) == chunks
+    assert_every_row_delegated(replays)
+    replays.clear()
     assert_ycsb_equivalent(kind_name, workload)
-    assert len(replays) == -(-600 // 64)  # one replay per compiled chunk
+    assert len(replays) == chunks
     assert all(result.blockers == [] for result in replays)
     if kind_name == "UnifiedMMap":
         assert sum(result.fused_ops for result in replays) > 0
@@ -446,27 +480,32 @@ def test_run_ycsb_chunk_size_invisible(chunk_ops, seed):
 
 
 def assert_ycsb_raises_alike(kind_name, arm, error):
-    """Both paths raise ``error`` at the same op and leave the same state."""
+    """The reference driver and ``run_ycsb`` with the engine off and on all
+    raise ``error`` at the same op and leave the same state."""
     stores = []
-    for engine in (False, True):
+    for driver, engine in (
+        (reference_run_ycsb, False),
+        (run_ycsb, False),
+        (run_ycsb, True),
+    ):
         store = build_store(kind_name, engine=engine)
         arm(store.system)
         with pytest.raises(error):
-            run_ycsb(store, YCSB_A, 600, KV_RECORDS, seed=5)
+            driver(store, YCSB_A, 600, KV_RECORDS, seed=5)
         stores.append(store)
-    scalar_store, engine_store = stores
     counters = [store.system.stats.counters() for store in stores]
     ops = [c.get("kv.gets", 0) + c.get("kv.puts", 0) for c in counters]
     assert 64 < ops[0] < 600 and ops[0] % 64 != 1  # raised mid-chunk, not at its start
-    for name in ("kv.gets", "kv.puts"):
-        assert counters[1].get(name) == counters[0].get(name), name
-    assert ycsb_state(engine_store) == ycsb_state(scalar_store)
+    for store, store_counters in zip(stores[1:], counters[1:]):
+        for name in ("kv.gets", "kv.puts"):
+            assert store_counters.get(name) == counters[0].get(name), name
+        assert ycsb_state(store) == ycsb_state(stores[0])
 
 
 def reference_clock_at(kind_name, op_index):
-    """Simulated time at which the scalar run starts op ``op_index``."""
+    """Simulated time at which the reference run starts op ``op_index``."""
     store = build_store(kind_name, engine=False)
-    stats = run_ycsb(store, YCSB_A, 600, KV_RECORDS, seed=5)
+    stats = reference_run_ycsb(store, YCSB_A, 600, KV_RECORDS, seed=5)
     return sum(stats.samples[:op_index])
 
 

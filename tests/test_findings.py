@@ -339,6 +339,26 @@ class TestSharedCLIEdgeCases:
         assert payload["files_checked"] == 1
         assert payload["findings"] == []
 
+    @pytest.mark.parametrize("tool", ["simeffect", "simcost", "simbatch"])
+    def test_report_directory_is_usage_error(self, tool, tmp_path, monkeypatch, capsys):
+        """``--report DIR`` would take the paths' place as the output FILE:
+        a usage error before any file is read or analyzed."""
+        target = tmp_path / "tree"
+        target.mkdir()
+        (target / "ok.py").write_text("x = 1\n")
+
+        def no_analysis(*args, **kwargs):
+            raise AssertionError("the analysis ran")
+
+        monkeypatch.setattr(analyze, "iter_python_files", no_analysis)
+        monkeypatch.setattr(analyze, "findings", no_analysis)
+        with pytest.raises(SystemExit) as exit_info:
+            analyze.main(["--report", str(target)], tool=tool)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--report takes the output FILE, not a directory" in err
+        assert target.is_dir() and (target / "ok.py").read_text() == "x = 1\n"
+
     @pytest.mark.parametrize("tool,_code", TOOL_CLIS)
     def test_overlapping_paths_check_each_file_once(self, tool, _code, tmp_path):
         """A file reached through two path arguments is one file."""

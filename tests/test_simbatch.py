@@ -830,7 +830,6 @@ class TestRepoBatchReport:
             "host.plb.PLB.batch_retire",
             "host.tlb.TLB.batch_invalidate",
             "ssd.ssd_cache.SSDCache.batch_lookup",
-            "workloads.trace.pack_ops",
         } <= functions
 
     def test_no_opportunities_remain(self, report):

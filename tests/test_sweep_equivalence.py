@@ -92,15 +92,49 @@ def test_document_needs_every_cell(serial_report):
 
 
 @pytest.fixture(scope="module")
-def scalar_report(_plain_simulators):
-    """The same full sweep with the replay engine forced off everywhere."""
+def scalar_sweep(_plain_simulators):
+    """The same full sweep with the replay engine forced off everywhere,
+    and how many rows its replays fused and delegated (a spy on the
+    interpreter's two row loops)."""
+    import importlib
+
     from repro.config import set_engine_default
+
+    replay_module = importlib.import_module("repro.engine.replay")
+    rows = {"fused": 0, "delegated": 0}
+    real_fused = replay_module._replay_fused
+    real_scalar = replay_module._replay_scalar
+
+    def fused(system, trace_rows, latencies):
+        count = real_fused(system, trace_rows, latencies)
+        rows["fused"] += count
+        return count
+
+    def scalar(system, trace_rows, latencies):
+        real_scalar(system, trace_rows, latencies)
+        rows["delegated"] += len(trace_rows)
 
     previous = set_engine_default(False)
     try:
-        return run_sweep(jobs=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(replay_module, "_replay_fused", fused)
+            patch.setattr(replay_module, "_replay_scalar", scalar)
+            return run_sweep(jobs=1), rows
     finally:
         set_engine_default(previous)
+
+
+@pytest.fixture(scope="module")
+def scalar_report(scalar_sweep):
+    return scalar_sweep[0]
+
+
+def test_scalar_sweep_fuses_no_row(scalar_sweep):
+    """Engine off, the trace-driven cells still replay their compiled
+    streams, and no row of them is fused."""
+    _report, rows = scalar_sweep
+    assert rows["fused"] == 0
+    assert rows["delegated"] > 0
 
 
 def test_sweeps_run_with_engine_enabled():

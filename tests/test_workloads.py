@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import DRAMOnly, FlatFlash, small_config
-from repro.engine import OP_LOAD, OP_STORE
-from repro.workloads import ycsb
+from repro.config import EngineConfig
+from repro.core.memory_system import MappedRegion
+from repro.engine import OP_LOAD, OP_STORE, AccessTrace
+from repro.workloads import gups, synthetic, ycsb
 from repro.workloads.gups import run_gups
 from repro.workloads.synthetic import random_access, sequential_access, warm_up
 from repro.workloads.ycsb import (
@@ -61,6 +63,25 @@ class TestSynthetic:
             return stats.mean
 
         assert run() == run()
+
+
+    @pytest.mark.parametrize("engine", [True, False], ids=["engine-on", "engine-off"])
+    @pytest.mark.parametrize("driver", [sequential_access, random_access])
+    def test_access_larger_than_region_rejected(self, driver, engine):
+        """An access that cannot fit the region is an argument error, on
+        either engine setting, before any access runs."""
+        system = FlatFlash(small_config(track_data=False, engine=EngineConfig(enabled=engine)))
+        region = system.mmap(1)
+        with pytest.raises(ValueError, match="size must be in"):
+            driver(system, region, 10, size=2 * region.size)
+        with pytest.raises(ValueError, match="size must be in"):
+            driver(system, region, 10, size=0)
+        assert system.stats.counters().get("mem.loads", 0) == 0
+        assert system.clock.now == 0
+
+    def test_whole_region_access_allowed(self, system):
+        region = system.mmap(1)
+        assert sequential_access(system, region, 3, size=region.size).count == 3
 
 
 class TestGUPS:
@@ -292,3 +313,168 @@ class TestChunkedCompile:
         monkeypatch.setattr(ycsb, "chunk_bounds", shifted)
         expected = list(generate_ops(YCSB_B, 500, 200, seed=4))
         assert chunked_ops(YCSB_B, 500, 200, 0.99, 4, 64) != expected
+
+
+# --------------------------------------------------------------------- #
+# Compiled streams vs the per-op reference generators
+# --------------------------------------------------------------------- #
+
+
+class RecordingSystem:
+    """Stands in for a memory system: records each access in issue order."""
+
+    class _Result:
+        latency_ns = 0
+
+    def __init__(self):
+        self.addrs, self.sizes, self.ops = [], [], []
+
+    def load(self, addr, size):
+        return self._record(addr, size, OP_LOAD)
+
+    def store(self, addr, size):
+        return self._record(addr, size, OP_STORE)
+
+    def _record(self, addr, size, op):
+        self.addrs.append(addr)
+        self.sizes.append(size)
+        self.ops.append(op)
+        return self._Result()
+
+    def trace(self):
+        return AccessTrace.from_columns(self.addrs, self.sizes, self.ops)
+
+
+# The reference generators are the per-op driver loops, drawing from the
+# generator in the same order; each issues its accesses to ``system``.
+
+
+def reference_gups(system, region, num_updates, rng):
+    words = region.size // 8
+    indices = rng.integers(0, words, size=num_updates)
+    rng.integers(0, 2**63, size=num_updates, dtype=np.uint64)  # values
+    for index in indices:
+        addr = region.addr(int(index) * 8)
+        system.load(addr, 8)
+        system.store(addr, 8)
+
+
+def reference_warm_up(system, region, num_accesses, line, rng):
+    pages = rng.integers(0, region.num_pages, size=num_accesses)
+    lines_per_page = region.page_size // line
+    offsets = rng.integers(0, lines_per_page, size=num_accesses) * line
+    for page, offset in zip(pages, offsets):
+        system.load(region.page_addr(int(page), int(offset)), line)
+
+
+def reference_sequential(system, region, num_ops, size, write_ratio, rng):
+    writes = rng.random(num_ops) < write_ratio
+    total_lines = region.size // size
+    for op in range(num_ops):
+        addr = region.addr((op % total_lines) * size)
+        if writes[op]:
+            system.store(addr, size)
+        else:
+            system.load(addr, size)
+
+
+def reference_random(system, region, num_ops, size, write_ratio, rng):
+    total_lines = region.size // size
+    indices = rng.integers(0, total_lines, size=num_ops)
+    writes = rng.random(num_ops) < write_ratio
+    for line_index, is_write in zip(indices, writes):
+        addr = region.addr(int(line_index) * size)
+        if is_write:
+            system.store(addr, size)
+        else:
+            system.load(addr, size)
+
+
+PAGE = 4096
+
+
+def assert_same_stream(compile_fn, reference_fn, pages, seed, *args):
+    """Same rows, and the shared generator left in the same state."""
+    region = MappedRegion(16, pages, PAGE, False, "stream")
+    compiled_rng = np.random.default_rng(seed)
+    reference_rng = np.random.default_rng(seed)
+    compiled = compile_fn(region, *args, rng=compiled_rng).rows
+    recorder = RecordingSystem()
+    reference_fn(recorder, region, *args, reference_rng)
+    reference = recorder.trace().rows
+    assert compiled.shape == reference.shape, "row count differs from the reference"
+    assert compiled.tobytes() == reference.tobytes(), "rows differ from the reference"
+    assert compiled_rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+stream_settings = settings(max_examples=40, deadline=None)
+seeds = st.integers(0, 2**32 - 1)
+region_pages = st.integers(1, 3)
+#: Sizes that divide the page and one that does not (the last line of
+#: the region is then partial and the sequential wrap skips it).
+access_sizes = st.sampled_from([8, 64, 100, 256, PAGE])
+write_ratios = st.sampled_from([0.0, 0.3, 1.0])
+
+
+class TestStreamIdentity:
+    @stream_settings
+    @given(seed=seeds, pages=region_pages, num_updates=st.integers(1, 600))
+    def test_gups(self, seed, pages, num_updates):
+        assert_same_stream(gups.compile_trace, reference_gups, pages, seed, num_updates)
+
+    @stream_settings
+    @given(
+        seed=seeds,
+        pages=region_pages,
+        num_accesses=st.integers(0, 300),
+        line=st.sampled_from([32, 64, 128, PAGE]),
+    )
+    def test_warm_up(self, seed, pages, num_accesses, line):
+        assert_same_stream(
+            synthetic.compile_warmup_trace, reference_warm_up, pages, seed, num_accesses, line
+        )
+
+    @stream_settings
+    @given(
+        seed=seeds,
+        pages=region_pages,
+        num_ops=st.integers(0, 400),
+        size=access_sizes,
+        write_ratio=write_ratios,
+    )
+    def test_sequential(self, seed, pages, num_ops, size, write_ratio):
+        """Runs past the region's end wrap to its start, as the loop does."""
+        assert_same_stream(
+            synthetic.compile_sequential_trace,
+            reference_sequential,
+            pages,
+            seed,
+            num_ops,
+            size,
+            write_ratio,
+        )
+
+    @stream_settings
+    @given(
+        seed=seeds,
+        pages=region_pages,
+        num_ops=st.integers(0, 400),
+        size=access_sizes,
+        write_ratio=write_ratios,
+    )
+    def test_random(self, seed, pages, num_ops, size, write_ratio):
+        assert_same_stream(
+            synthetic.compile_random_trace,
+            reference_random,
+            pages,
+            seed,
+            num_ops,
+            size,
+            write_ratio,
+        )
+
+    def test_sequential_wraps(self):
+        """The examples above include wrapping runs; pin one explicitly."""
+        assert_same_stream(
+            synthetic.compile_sequential_trace, reference_sequential, 1, 3, 150, 64, 0.5
+        )
